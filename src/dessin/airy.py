@@ -133,6 +133,10 @@ def t_number(n: int, k: int) -> Fraction:
     return Fraction(2 * comb(n, k) ** 2 * comb(2 * n + 2, n), comb(2 * n + 2, 2 * k + 1))
 
 
+# the displayed rows T(0,.), T(1,.), T(2,.)
+T_ROWS = ([1], [2, 2], [5, 6, 5])
+
+
 def t_row(n: int) -> TRow:
     values = tuple(t_number(n, k) for k in range(n + 1))
     for val in values:

@@ -17,14 +17,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from . import airy, closedforms
-from .eo import ALPHA, BETA, EOEngine
-from .laurent import LaurentPolynomial
+from .eo import W03_DISPLAY, W11_DISPLAY, EOEngine
 from .npoint import index_tuples
 from .report import VerificationReport, run_comparisons
 from .virasoro import CacheFormatError, CorrelatorTable, VirasoroEngine
@@ -58,26 +55,14 @@ def save_engine(cache_dir: Path, engine: VirasoroEngine) -> None:
     engine.table.save(cache_dir / CACHE_FILE)
 
 
-# -- verification suite matrix ---------------------------------------------------
-
-
-def _frozen_one_point_fixtures():
-    S, U, V = closedforms.S, closedforms.U, closedforms.V
-    return {
-        1: S * U * V,
-        2: S ** 2 * U * V * (U + V),
-        3: S ** 3 * U * V * (U ** 2 + 3 * U * V + V ** 2),
-        4: S ** 4 * U * V * (U ** 3 + 6 * U ** 2 * V + 6 * U * V ** 2 + V ** 3),
-        5: S ** 5 * U * V * (U ** 4 + 10 * U ** 3 * V + 20 * U ** 2 * V ** 2 + 10 * U * V ** 3 + V ** 4),
-    }
+# -- verification suites ----------------------------------------------------------
 
 
 def suite_one_point_fixtures(vir: VirasoroEngine) -> VerificationReport:
-    fixtures = _frozen_one_point_fixtures()
     return run_comparisons(
         "one-point-fixtures",
         {"n_max": 5},
-        ((n, expected, vir.weighted_correlator(0, (n,))) for n, expected in fixtures.items()),
+        ((n, expected, vir.weighted_correlator(0, (n,))) for n, expected in closedforms.G01_NUMERATORS.items()),
     )
 
 
@@ -96,41 +81,28 @@ def suite_closed_form(vir: VirasoroEngine, which: str, order: int) -> Verificati
     if which not in CLOSED_FORM_TARGETS:
         raise KeyError(f"unknown closed form {which!r}; expected one of {', '.join(CLOSED_FORM_TARGETS)}")
     g, n = CLOSED_FORM_TARGETS[which]
-    closed = closedforms.dessin_closed_series(which, order)
-    direct = vir.npoint_series(g, n, order)
-    return run_comparisons(
-        f"closed-form:{which}",
-        {"which": which, "g": g, "n": n, "order": order},
-        ((key, closed.coefficient(key), direct.coefficient(key)) for key in index_tuples(n, order)),
-    )
+
+    def comparisons():
+        closed = closedforms.dessin_closed_series(which, order)
+        direct = vir.npoint_series(g, n, order)
+        for key in index_tuples(n, order):
+            yield key, closed.coefficient(key), direct.coefficient(key)
+
+    return run_comparisons(f"closed-form:{which}", {"which": which, "g": g, "n": n, "order": order}, comparisons())
 
 
 def suite_eo_base(eo: EOEngine) -> VerificationReport:
-    gap2inv = LaurentPolynomial.monomial(Fraction(1, 16), {"a": -2, "b": -2})
-    w03_expected = (BETA * LaurentPolynomial.monomial(1, {"z1": -2, "z2": -2, "z3": -2}) - ALPHA) * gap2inv
-    z1 = LaurentPolynomial.variable("z1")
-    inv8 = LaurentPolynomial.monomial(Fraction(1, 128), {"a": -2, "b": -2})
-    w11_expected = inv8 * (
-        BETA * LaurentPolynomial.monomial(1, {"z1": -4})
-        - (2 * BETA + ALPHA) * LaurentPolynomial.monomial(1, {"z1": -2})
-        + (2 * ALPHA + BETA)
-        - ALPHA * z1 ** 2
-    )
-    return run_comparisons(
-        "eo-base",
-        {},
-        [
-            ((0, 3), w03_expected, eo.omega(0, 3).poly),
-            ((1, 1), w11_expected, eo.omega(1, 1).poly),
-        ],
-    )
+    def comparisons():
+        yield (0, 3), W03_DISPLAY, eo.omega(0, 3).poly
+        yield (1, 1), W11_DISPLAY, eo.omega(1, 1).poly
+
+    return run_comparisons("eo-base", {}, comparisons())
 
 
 def suite_t_rows(n_max: int = 20) -> VerificationReport:
     def comparisons():
-        yield ("row0", [1], [int(x) for x in airy.t_row(0).values])
-        yield ("row1", [2, 2], [int(x) for x in airy.t_row(1).values])
-        yield ("row2", [5, 6, 5], [int(x) for x in airy.t_row(2).values])
+        for n, expected in enumerate(airy.T_ROWS):
+            yield (f"row{n}", expected, [int(x) for x in airy.t_row(n).values])
         for n in range(n_max + 1):
             row = airy.t_row(n)  # integrality asserted inside
             yield ((n, "symmetric"), tuple(row.values), tuple(reversed(row.values)))
@@ -138,86 +110,73 @@ def suite_t_rows(n_max: int = 20) -> VerificationReport:
     return run_comparisons("t-rows", {"n_max": n_max}, comparisons())
 
 
+# -- the acceptance matrix (verify --all) ---------------------------------------------
+
 SuiteRunner = Callable[[], List[VerificationReport]]
+
+
+def _shared_engines(run: Callable[[VirasoroEngine, EOEngine], List[VerificationReport]]) -> SuiteRunner:
+    """A runner whose reports share one new engine of each kind, so lower
+    correlators and forms are computed once per matrix entry."""
+    return lambda: run(VirasoroEngine(), EOEngine())
 
 
 def acceptance_matrix() -> List[Tuple[str, int, SuiteRunner]]:
     """The full verification matrix: (name, required order budget, runner)."""
-
-    def fresh_vir() -> VirasoroEngine:
-        return VirasoroEngine()
-
-    entries: List[Tuple[str, int, SuiteRunner]] = [
-        ("one-point-fixtures", 6, lambda: [suite_one_point_fixtures(fresh_vir())]),
-        ("narayana-law", 26, lambda: [suite_narayana_law(fresh_vir(), 25)]),
-        ("two-point-closed", 12, lambda: [suite_closed_form(fresh_vir(), "G02", 12)]),
-        (
-            "fixture-forms",
-            10,
-            lambda: [suite_closed_form(fresh_vir(), "G03", 10), suite_closed_form(fresh_vir(), "G11", 10)],
-        ),
+    return [
+        ("one-point-fixtures", 6, lambda: [suite_one_point_fixtures(VirasoroEngine())]),
+        ("narayana-law", 26, lambda: [suite_narayana_law(VirasoroEngine(), 25)]),
+        ("two-point-closed", 12, lambda: [suite_closed_form(VirasoroEngine(), "G02", 12)]),
+        ("fixture-forms", 10, _shared_engines(
+            lambda vir, eo: [suite_closed_form(vir, which, 10) for which in ("G03", "G11")])),
         ("eo-base", 4, lambda: [suite_eo_base(EOEngine())]),
-        (
-            "main-theorem",
-            10,
-            lambda: (
-                lambda vir, eo: [eo.verify_main_theorem(g, n, 10, vir) for g, n in
-                                 [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 1)]]
-            )(fresh_vir(), EOEngine()),
-        ),
-        ("kp-oracle", 12, lambda: [fresh_vir().kp_oracle_report(12)]),
-        (
-            "operator-form",
-            8,
-            lambda: (
-                lambda vir: [vir.operator_form_report(g, n, 8) for g, n in [(0, 2), (1, 0), (1, 1)]]
-            )(fresh_vir()),
-        ),
-        (
-            "airy-local",
-            6,
-            lambda: [suite_t_rows(20)] + [airy.local_identity_check(name, 6) for name in airy.local_identity_names()],
-        ),
-        (
-            "catalog",
-            12,
-            lambda: [
-                closedforms.catalog_check("hermitian/one", 12),
-                closedforms.catalog_check("hermitian/two", 8),
-                closedforms.catalog_check("wk/one", 8),
-                closedforms.catalog_check("wk/two", 8),
-                closedforms.catalog_check("even-coupling/one", 10),
-                closedforms.catalog_check("even-coupling/two", 10),
-            ],
-        ),
-        (
-            "identities",
-            10,
-            lambda: [closedforms.gf_identity_check(name, 10) for name in closedforms.identity_names()],
-        ),
+        ("main-theorem", 10, _shared_engines(lambda vir, eo: [
+            eo.verify_main_theorem(g, n, 10, vir) for g, n in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 1)]])),
+        ("kp-oracle", 12, lambda: [VirasoroEngine().kp_oracle_report(12)]),
+        ("operator-form", 8, _shared_engines(
+            lambda vir, eo: [vir.operator_form_report(g, n, 8) for g, n in [(0, 2), (1, 0), (1, 1)]])),
+        ("airy-local", 6, lambda: [suite_t_rows(20)]
+         + [airy.local_identity_check(name, 6) for name in airy.local_identity_names()]),
+        ("catalog", 12, lambda: [
+            closedforms.catalog_check(key, order) for key, order in [
+                ("hermitian/one", 12), ("hermitian/two", 8), ("wk/one", 8), ("wk/two", 8),
+                ("even-coupling/one", 10), ("even-coupling/two", 10)]]),
+        ("identities", 10, lambda: [closedforms.gf_identity_check(name, 10) for name in closedforms.identity_names()]),
     ]
-    return entries
 
 
-def suite_all(order_budget: int, jobs: int = 1):
+def suite_all(order_budget: int):
     """Run every suite whose required order fits the budget; others are skipped."""
-    matrix = acceptance_matrix()
     results = []
-
-    def run_one(entry):
-        name, required, runner = entry
+    for name, required, runner in acceptance_matrix():
         if required > order_budget:
-            return name, "skipped", []
+            results.append((name, "skipped", []))
+            continue
         reports = runner()
-        status = "pass" if all(r.passed for r in reports) else "fail"
-        return name, status, reports
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, matrix))
-    else:
-        results = [run_one(entry) for entry in matrix]
+        results.append((name, "pass" if all(r.passed for r in reports) else "fail", reports))
     return results
+
+
+# -- single suites (verify --suite) ------------------------------------------------
+
+# name -> (default order, required flags, runner(args, order)); a suite whose
+# default order is None takes no order
+SUITES = {
+    "one-point-fixtures": (None, (), lambda args, order: suite_one_point_fixtures(_engine_for(args))),
+    "narayana-law": (25, (), lambda args, order: suite_narayana_law(_engine_for(args), order)),
+    "closed-form": (10, ("which",), lambda args, order: suite_closed_form(_engine_for(args), args.which, order)),
+    "eo-base": (None, (), lambda args, order: suite_eo_base(EOEngine())),
+    "main-theorem": (10, ("g", "n"), lambda args, order: EOEngine().verify_main_theorem(
+        args.g, args.n, order, _engine_for(args))),
+    "kp-oracle": (12, (), lambda args, order: _engine_for(args).kp_oracle_report(order)),
+    "operator-form": (8, ("g", "n"), lambda args, order: _engine_for(args).operator_form_report(
+        args.g, args.n - 1, order)),
+    "curve-identity": (20, (), lambda args, order: EOEngine().curve_identity_report(order)),
+    "t-rows": (20, (), lambda args, order: suite_t_rows(order)),
+    "local": (6, ("name",), lambda args, order: airy.local_identity_check(args.name, order)),
+    "catalog": (8, ("name",), lambda args, order: closedforms.catalog_check(args.name, order)),
+    "identity": (10, ("name",), lambda args, order: closedforms.gf_identity_check(args.name, order)),
+}
 
 
 # -- output helpers ---------------------------------------------------------------
@@ -238,10 +197,6 @@ def render_report_text(payload: dict) -> str:
         d = payload["first_discrepancy"]
         line += f"\n  first discrepancy at {d['location']}: expected {d['expected']}, got {d['actual']}"
     return line
-
-
-def report_payload(report: VerificationReport, seedless: bool) -> dict:
-    return report.to_json(include_elapsed=not seedless)
 
 
 # -- command implementations -------------------------------------------------------
@@ -324,35 +279,29 @@ def cmd_identity(args) -> int:
 def cmd_verify(args) -> int:
     if args.list:
         names = {
-            "suites": [name for name, _, _ in acceptance_matrix()]
-            + ["main-theorem", "operator-form", "kp-oracle", "closed-form", "curve-identity", "catalog", "local", "identity"],
+            "suites": list(SUITES),
+            "matrix": [name for name, _, _ in acceptance_matrix()],
             "identities": closedforms.identity_names(),
             "catalog": closedforms.catalog_names(),
             "local": airy.local_identity_names(),
             "closed-forms": sorted(CLOSED_FORM_TARGETS),
         }
-        names["suites"] = sorted(set(names["suites"]))
         emit(names, args.format, lambda p: "\n".join(f"{k}: {', '.join(v)}" for k, v in names.items()))
         return 0
 
     if args.all:
-        budget = args.order_budget if args.order_budget is not None else 26
-        results = suite_all(budget, jobs=args.jobs)
-        failed = 0
+        results = suite_all(26 if args.order_budget is None else args.order_budget)
         lines = []
         for name, status, reports in results:
             if status == "skipped":
                 lines.append({"suite": name, "status": "skipped"})
-                continue
-            if status == "fail":
-                failed += 1
-            for report in reports:
-                lines.append(report_payload(report, args.seedless))
+            lines.extend(report.to_json(include_elapsed=not args.seedless) for report in reports)
+        statuses = [status for _, status, _ in results]
         summary = {
             "total": len(results),
-            "passed": sum(1 for _, sta, _ in results if sta == "pass"),
-            "failed": sum(1 for _, sta, _ in results if sta == "fail"),
-            "skipped": sum(1 for _, sta, _ in results if sta == "skipped"),
+            "passed": statuses.count("pass"),
+            "failed": statuses.count("fail"),
+            "skipped": statuses.count("skipped"),
         }
         if args.format == "json":
             print(json.dumps({"reports": lines, "summary": summary}, indent=2))
@@ -360,61 +309,21 @@ def cmd_verify(args) -> int:
             for payload in lines:
                 print(render_report_text(payload) if "parameters" in payload else f"SKIPPED {payload['suite']}")
             print(f"summary: {summary['passed']} passed, {summary['failed']} failed, {summary['skipped']} skipped")
-        return 0 if failed == 0 else 1
+        return 0 if summary["failed"] == 0 else 1
 
     if not args.suite:
         raise UsageError("verify needs --suite NAME, --all or --list")
-
-    report = _run_named_suite(args)
-    payload = report_payload(report, args.seedless)
-    emit(payload, args.format, render_report_text)
+    if args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; run verify --list for valid names")
+    default_order, needs, runner = SUITES[args.suite]
+    _need(args, *needs)
+    report = runner(args, default_order if args.order is None else args.order)
+    emit(report.to_json(include_elapsed=not args.seedless), args.format, render_report_text)
     return 0 if report.passed else 1
 
 
-def _run_named_suite(args) -> VerificationReport:
-    suite = args.suite
-    order = args.order
-    if suite == "main-theorem":
-        _need(args, "g", "n")
-        return EOEngine().verify_main_theorem(args.g, args.n, order or 10, _engine_for(args))
-    if suite == "operator-form":
-        _need(args, "g", "n")
-        return _engine_for(args).operator_form_report(args.g, args.n - 1, order or 8)
-    if suite == "kp-oracle":
-        return _engine_for(args).kp_oracle_report(order or 12)
-    if suite == "closed-form":
-        if not args.which:
-            raise UsageError("closed-form suite needs --which G01|G02|G03|G11")
-        return suite_closed_form(_engine_for(args), args.which, order or 10)
-    if suite == "curve-identity":
-        return EOEngine().curve_identity_report(order or 20)
-    if suite == "narayana-law":
-        return suite_narayana_law(_engine_for(args), order or 25)
-    if suite == "one-point-fixtures":
-        return suite_one_point_fixtures(_engine_for(args))
-    if suite == "eo-base":
-        return suite_eo_base(EOEngine())
-    if suite == "t-rows":
-        return suite_t_rows(order or 20)
-    if suite == "catalog":
-        if not args.name:
-            raise UsageError("catalog suite needs --name THEORY/POINTS")
-        return closedforms.catalog_check(args.name, order or 8)
-    if suite == "local":
-        if not args.name:
-            raise UsageError("local suite needs --name IDENTITY")
-        return airy.local_identity_check(args.name, order or 6)
-    if suite == "identity":
-        if not args.name:
-            raise UsageError("identity suite needs --name IDENTITY")
-        return closedforms.gf_identity_check(args.name, order or 10)
-    raise UsageError(f"unknown suite {suite!r}; run verify --list for valid names")
-
-
 def _engine_for(args) -> VirasoroEngine:
-    cache_dir = resolve_cache_dir(getattr(args, "cache", None))
-    engine = load_engine(cache_dir)
-    return engine
+    return load_engine(resolve_cache_dir(args.cache))
 
 
 def _need(args, *names):
@@ -524,10 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite")
-    p.add_argument("--list", action="store_true", help="list suites and identity names")
+    p.add_argument("--list", action="store_true", help="list suite, matrix, identity and catalog names")
     p.add_argument("--all", action="store_true", help="run the full acceptance matrix")
     p.add_argument("--order-budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--g", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--order", type=int)

@@ -43,6 +43,23 @@ S = LaurentPolynomial.variable("s")
 U = LaurentPolynomial.variable("u")
 V = LaurentPolynomial.variable("v")
 
+# the displayed x^{-n-1} numerators of G_{0,1} for n <= 5
+G01_NUMERATORS = {
+    1: S * U * V,
+    2: S ** 2 * U * V * (U + V),
+    3: S ** 3 * U * V * (U ** 2 + 3 * U * V + V ** 2),
+    4: S ** 4 * U * V * (U ** 3 + 6 * U ** 2 * V + 6 * U * V ** 2 + V ** 3),
+    5: S ** 5 * U * V * (U ** 4 + 10 * U ** 3 * V + 20 * U ** 2 * V ** 2 + 10 * U * V ** 3 + V ** 4),
+}
+
+# the displayed x^{-a-1} coefficients of G_{1,1} for a = 3..6 (with the u v factor)
+G11_NUMERATORS = {
+    3: U * V * S ** 3,
+    4: 5 * U * V * (U + V) * S ** 4,
+    5: U * V * (15 * U ** 2 + 40 * U * V + 15 * V ** 2) * S ** 5,
+    6: 35 * U * V * (U + V) * (U ** 2 + 4 * U * V + V ** 2) * S ** 6,
+}
+
 
 def binom(n: int, k: int) -> Fraction:
     if k < 0 or k > n:
@@ -527,13 +544,7 @@ def _check_dessin_three(order: int) -> Iterator:
 
 def _check_dessin_g11(order: int) -> Iterator:
     g = dessin_closed_series("G11", order)
-    fixtures = {
-        3: U * V * S ** 3,
-        4: 5 * U * V * (U + V) * S ** 4,
-        5: U * V * (15 * U ** 2 + 40 * U * V + 15 * V ** 2) * S ** 5,
-        6: 35 * U * V * (U + V) * (U ** 2 + 4 * U * V + V ** 2) * S ** 6,
-    }
-    for a, expected in fixtures.items():
+    for a, expected in G11_NUMERATORS.items():
         if a + 1 <= order:
             yield ((a,), expected, g.coefficient((a,)))
 

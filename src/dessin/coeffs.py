@@ -119,10 +119,6 @@ def canonical_coeff(c) -> Coefficient:
     return _as_fraction(c)
 
 
-def coeff_is_zero(c) -> bool:
-    return not c
-
-
 def format_coeff(c: Coefficient) -> str:
     """Render as "p/q" or "p/q+r/s*i" (denominator always written)."""
     if isinstance(c, GaussianRational):

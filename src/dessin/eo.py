@@ -56,6 +56,17 @@ BETA = (A + B) ** 2
 # 1 / (2 (alpha - beta)^2) = 1 / (32 a^2 b^2)
 HALF_INV_GAP2 = LaurentPolynomial.monomial(Fraction(1, 32), {"a": -2, "b": -2})
 
+# the displayed base differentials w_{0,3} and w_{1,1}
+W03_DISPLAY = (
+    BETA * LaurentPolynomial.monomial(1, {"z1": -2, "z2": -2, "z3": -2}) - ALPHA
+) * LaurentPolynomial.monomial(Fraction(1, 16), {"a": -2, "b": -2})
+W11_DISPLAY = LaurentPolynomial.monomial(Fraction(1, 128), {"a": -2, "b": -2}) * (
+    BETA * LaurentPolynomial.monomial(1, {"z1": -4})
+    - (2 * BETA + ALPHA) * LaurentPolynomial.monomial(1, {"z1": -2})
+    + (2 * ALPHA + BETA)
+    - ALPHA * LaurentPolynomial.variable("z1") ** 2
+)
+
 
 class EOInvariantError(AssertionError):
     """A computed differential violated evenness, symmetry or s-freeness."""
@@ -200,13 +211,16 @@ class EOEngine:
         return (self.alpha * z ** 2 - self.beta) * (z ** 2 - 1) ** 2
 
     def _kernel_chart_zero(self, out_name: str, order: int) -> TruncatedSeries:
-        """K-hat expanded at z = 0: simple pole, spectator poles in out_name."""
+        """K-hat expanded at z = 0 through z^(order-1): simple pole, spectator
+        poles in out_name."""
         geom = TruncatedSeries.from_map(
             "z",
             {2 * k: LaurentPolynomial.monomial(1, {out_name: -2 * k - 2}) for k in range(order // 2 + 1)},
             order,
         )
-        poly = TruncatedSeries.from_polynomial(self._kernel_poly(), "z", order)
+        kernel = self._kernel_poly()
+        # the kernel polynomial enters whole; the product keeps geom's window
+        poly = TruncatedSeries.from_polynomial(kernel, "z", max(order, kernel.degree("z")))
         return (poly * geom).shift(-1) * HALF_INV_GAP2
 
     def _kernel_chart_inf(self, out_name: str, order: int) -> TruncatedSeries:
@@ -234,14 +248,9 @@ class EOEngine:
         if at == "zero":
             return self._kernel_chart_zero("z0", order)
         if at == "infinity":
-            wt = LaurentPolynomial.variable("wt")
-            poly = (self.beta * wt ** 2 - self.alpha) * (wt ** 2 - 1) ** 2
-            geom = TruncatedSeries.from_map(
-                "wt",
-                {2 * k: LaurentPolynomial.monomial(1, {"wt0": -2 * k - 2}) for k in range(order // 2 + 1)},
-                order,
-            )
-            return (TruncatedSeries.from_polynomial(poly, "wt", order + 1) * geom).shift(-1) * HALF_INV_GAP2
+            # swapping the charts is the dual curve's chart at zero, renamed
+            dual = EOEngine(dual=not self.dual)._kernel_chart_zero("wt0", order)
+            return TruncatedSeries.from_map("wt", dict(dual.items()), dual.order, min_exp=dual.min_exp)
         raise ValueError("chart must be 'zero' or 'infinity'")
 
     # -- the recursion -------------------------------------------------------
@@ -403,13 +412,14 @@ class EOEngine:
         """The differentials built by residue recursion in z equal the
         Virasoro-side n-point series after conversion to the x-picture."""
         virasoro = virasoro or VirasoroEngine()
-        eo_side = self.to_x_series(g, n, order)
-        vir_side = virasoro.npoint_series(g, n, order)
-        return run_comparisons(
-            "main-theorem",
-            {"g": g, "n": n, "order": order},
-            ((key, vir_side.coefficient(key), eo_side.coefficient(key)) for key in index_tuples(n, order)),
-        )
+
+        def comparisons():
+            eo_side = self.to_x_series(g, n, order)
+            vir_side = virasoro.npoint_series(g, n, order)
+            for key in index_tuples(n, order):
+                yield key, vir_side.coefficient(key), eo_side.coefficient(key)
+
+        return run_comparisons("main-theorem", {"g": g, "n": n, "order": order}, comparisons())
 
     def curve_identity_report(self, order: int = 20) -> VerificationReport:
         """4 s^2 y(z)^2 x(z)^2 - (x(z)^2 - 2s(u+v) x(z) + s^2 (u-v)^2) = 0,

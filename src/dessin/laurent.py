@@ -245,9 +245,6 @@ class LaurentPolynomial:
 
     # -- structure ---------------------------------------------------------
 
-    def map_coefficients(self, fn) -> "LaurentPolynomial":
-        return LaurentPolynomial(self._alphabet, {e: fn(c) for e, c in self._terms.items()})
-
     def substitute(self, mapping: Mapping[str, object]) -> "LaurentPolynomial":
         """Simultaneous substitution of symbols by polynomials or scalars.
 

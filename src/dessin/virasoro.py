@@ -367,13 +367,13 @@ class VirasoroEngine:
         )
 
     def operator_form_report(self, g: int, n: int, order: int) -> VerificationReport:
-        assembled = self.assemble_operator_form(g, n, order)
-        direct = self.npoint_series(g, n + 1, order)
-        return run_comparisons(
-            "operator-form",
-            {"g": g, "n": n + 1, "order": order},
-            ((key, direct.coefficient(key), assembled.coefficient(key)) for key in index_tuples(n + 1, order)),
-        )
+        def comparisons():
+            assembled = self.assemble_operator_form(g, n, order)
+            direct = self.npoint_series(g, n + 1, order)
+            for key in index_tuples(n + 1, order):
+                yield key, direct.coefficient(key), assembled.coefficient(key)
+
+        return run_comparisons("operator-form", {"g": g, "n": n + 1, "order": order}, comparisons())
 
 
 def _factorial(k: int) -> int:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from dessin import airy, closedforms as cf
-from dessin.eo import ALPHA, BETA, EOEngine, slot_names
+from dessin.eo import W03_DISPLAY, W11_DISPLAY, EOEngine, slot_names
 from dessin.laurent import LaurentPolynomial
 from dessin.series import TruncatedSeries, series_invert, series_sqrt
 from dessin.virasoro import VirasoroEngine
@@ -45,15 +45,8 @@ def partitions_up_to(total):
 
 
 def test_criterion_01_narayana_reproduction(vir):
-    printed = {
-        1: S * U * V,
-        2: S ** 2 * U * V * (U + V),
-        3: S ** 3 * U * V * (U ** 2 + 3 * U * V + V ** 2),
-        4: S ** 4 * U * V * (U ** 3 + 6 * U ** 2 * V + 6 * U * V ** 2 + V ** 3),
-        5: S ** 5 * U * V * (U ** 4 + 10 * U ** 3 * V + 20 * U ** 2 * V ** 2 + 10 * U * V ** 3 + V ** 4),
-    }
     with criterion(1, "one-point correlators reproduce the displayed numerators", 1.0):
-        for n, expected in printed.items():
+        for n, expected in cf.G01_NUMERATORS.items():
             assert vir.weighted_correlator(0, (n,)) == expected, n
 
 
@@ -77,24 +70,14 @@ def test_criterion_04_fixture_forms(vir):
         g11 = cf.dessin_closed_series("G11", 10)
         assert vir.npoint_series(1, 1, 10).first_difference(g11) is None
         # the corrected genus-one terms (the u v factor restored)
-        assert g11.coefficient((4,)) == 5 * U * V * (U + V) * S ** 4
-        assert g11.coefficient((5,)) == U * V * (15 * U ** 2 + 40 * U * V + 15 * V ** 2) * S ** 5
-        assert g11.coefficient((6,)) == 35 * U * V * (U + V) * (U ** 2 + 4 * U * V + V ** 2) * S ** 6
+        for a, expected in cf.G11_NUMERATORS.items():
+            assert g11.coefficient((a,)) == expected, a
 
 
 def test_criterion_05_eo_base_cases(eo):
     with criterion(5, "w(0,3) and w(1,1) equal the displayed Laurent forms", 1.0):
-        gap2inv = LaurentPolynomial.monomial(Fraction(1, 16), {"a": -2, "b": -2})
-        w03 = (BETA * LaurentPolynomial.monomial(1, {"z1": -2, "z2": -2, "z3": -2}) - ALPHA) * gap2inv
-        assert eo.omega(0, 3).poly == w03
-        z1 = LaurentPolynomial.variable("z1")
-        w11 = LaurentPolynomial.monomial(Fraction(1, 128), {"a": -2, "b": -2}) * (
-            BETA * LaurentPolynomial.monomial(1, {"z1": -4})
-            - (2 * BETA + ALPHA) * LaurentPolynomial.monomial(1, {"z1": -2})
-            + (2 * ALPHA + BETA)
-            - ALPHA * z1 ** 2
-        )
-        assert eo.omega(1, 1).poly == w11
+        assert eo.omega(0, 3).poly == W03_DISPLAY
+        assert eo.omega(1, 1).poly == W11_DISPLAY
 
 
 def test_criterion_06_main_theorem(vir, eo):
@@ -119,9 +102,8 @@ def test_criterion_08_operator_form(vir):
 
 def test_criterion_09_local_triangle_and_identities():
     with criterion(9, "T(n,k) rows and the three local kernel identities", 30.0):
-        assert [int(x) for x in airy.t_row(0).values] == [1]
-        assert [int(x) for x in airy.t_row(1).values] == [2, 2]
-        assert [int(x) for x in airy.t_row(2).values] == [5, 6, 5]
+        for n, expected in enumerate(airy.T_ROWS):
+            assert [int(x) for x in airy.t_row(n).values] == expected, n
         for n in range(21):
             airy.t_row(n)  # positivity and integrality asserted inside
         for name in ("bergman-pp", "sqrt-product", "bergman-mixed"):

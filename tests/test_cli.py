@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -72,6 +74,50 @@ def test_verify_list(capsys):
     assert "hermitian/one" in names["catalog"]
     assert "bergman-pp" in names["local"]
     assert "main-theorem" in names["suites"]
+    assert "t-rows" in names["suites"]
+    assert len(names["matrix"]) == 11 and "two-point-closed" in names["matrix"]
+
+
+def listed_suites():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(["verify", "--list"])
+    return json.loads(buf.getvalue())["suites"]
+
+
+# the least each suite needs, at small orders
+SUITE_ARGS = {
+    "main-theorem": ("--g", "0", "--n", "3", "--order", "6"),
+    "operator-form": ("--g", "0", "--n", "3", "--order", "6"),
+    "closed-form": ("--which", "G01", "--order", "5"),
+    "catalog": ("--name", "hermitian/one", "--order", "4"),
+    "local": ("--name", "bergman-pp", "--order", "4"),
+    "identity": ("--name", "typeB-gf", "--order", "6"),
+}
+
+
+@pytest.mark.parametrize("suite", listed_suites())
+def test_every_listed_suite_runs(suite, tmp_path, capsys):
+    args = SUITE_ARGS.get(suite, ("--order", "6"))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *args, "--seedless", "--cache", str(tmp_path))
+    assert code == 0, err
+    assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("suite,args,flag", [
+    ("main-theorem", ("--n", "3"), "--g"),
+    ("operator-form", ("--g", "0"), "--n"),
+    ("closed-form", ("--order", "5"), "--which"),
+    ("catalog", ("--order", "4"), "--name"),
+])
+def test_missing_suite_arguments_exit_two(suite, args, flag, capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", suite, *args)
+    assert code == 2 and flag in err
+
+
+def test_explicit_order_zero_is_not_replaced(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "identity", "--name", "typeB-gf", "--order", "0")
+    assert code == 2, err
 
 
 def test_eo_json_schema(capsys):
@@ -160,11 +206,10 @@ def test_suite_all_respects_budget(capsys):
     assert payload["summary"]["failed"] == 0
 
 
-def test_suite_all_parallel_matches_serial(capsys):
-    args = ("verify", "--all", "--order-budget", "6", "--seedless")
-    _, serial, _ = run_cli(capsys, *args)
-    _, parallel, _ = run_cli(capsys, *args, "--jobs", "3")
-    assert serial == parallel
+def test_jobs_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--all", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_cache_warm(tmp_path, capsys):

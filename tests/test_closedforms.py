@@ -40,14 +40,7 @@ def test_narayana_bounds():
 
 def test_g01_matches_printed_numerators():
     g01 = cf.dessin_closed_series("G01", 7)
-    printed = {
-        1: S * U * V,
-        2: S ** 2 * U * V * (U + V),
-        3: S ** 3 * U * V * (U ** 2 + 3 * U * V + V ** 2),
-        4: S ** 4 * U * V * (U ** 3 + 6 * U ** 2 * V + 6 * U * V ** 2 + V ** 3),
-        5: S ** 5 * U * V * (U ** 4 + 10 * U ** 3 * V + 20 * U ** 2 * V ** 2 + 10 * U * V ** 3 + V ** 4),
-    }
-    for n, expected in printed.items():
+    for n, expected in cf.G01_NUMERATORS.items():
         assert g01.coefficient((n,)) == expected
 
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from dessin.eo import (
-    ALPHA,
     BETA,
     EOEngine,
     EOForm,
     EOInvariantError,
+    W03_DISPLAY,
+    W11_DISPLAY,
     bergman_kernel,
     slot_names,
     spectral_curve,
@@ -48,21 +49,11 @@ def test_involution_parity(eo):
 
 
 def test_w03_matches_display(eo):
-    expected = (
-        BETA * LaurentPolynomial.monomial(1, {"z1": -2, "z2": -2, "z3": -2}) - ALPHA
-    ) * gap2_inverse(1)
-    assert eo.omega(0, 3).poly == expected
+    assert eo.omega(0, 3).poly == W03_DISPLAY
 
 
 def test_w11_matches_display(eo):
-    z1 = LaurentPolynomial.variable("z1")
-    expected = gap2_inverse(8) * (
-        BETA * LaurentPolynomial.monomial(1, {"z1": -4})
-        - (2 * BETA + ALPHA) * LaurentPolynomial.monomial(1, {"z1": -2})
-        + (2 * ALPHA + BETA)
-        - ALPHA * z1 ** 2
-    )
-    assert eo.omega(1, 1).poly == expected
+    assert eo.omega(1, 1).poly == W11_DISPLAY
 
 
 def test_unstable_forms_rejected(eo):
@@ -82,6 +73,23 @@ def test_kernel_infinity_chart_simple_pole(eo):
     ki = eo.recursion_kernel_expansion("infinity", 6)
     assert ki.min_exp == -1
     assert not ki.coefficient(-1).is_zero()
+
+
+@pytest.mark.parametrize("at", ["zero", "infinity"])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_kernel_small_bounds_truncate_the_wide_kernel(eo, at, bound):
+    narrow = eo.recursion_kernel_expansion(at, bound)
+    assert narrow == eo.recursion_kernel_expansion(at, 8).truncated(bound + 1)
+
+
+@pytest.mark.parametrize("bound", [0, 3, 8])
+def test_kernel_infinity_is_dual_zero_chart(eo, bound):
+    ki = eo.recursion_kernel_expansion("infinity", bound)
+    kz = EOEngine(dual=True).recursion_kernel_expansion("zero", bound)
+    wt0 = LaurentPolynomial.variable("wt0")
+    assert (ki.min_exp, ki.order) == (kz.min_exp, kz.order)
+    for k in range(kz.min_exp, kz.order + 1):
+        assert ki.coefficient(k) == kz.coefficient(k).substitute({"z0": wt0}), k
 
 
 def test_kernel_rejects_bad_arguments(eo):
