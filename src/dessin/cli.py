@@ -353,7 +353,7 @@ def cmd_cache(args) -> int:
         return 0
     if args.action == "warm":
         engine = load_engine(cache_dir)
-        order = args.order or 10
+        order = 10 if args.order is None else args.order
         for n in range(1, 3):
             for g in range(0, 3):
                 if 2 * g - 2 + n > 0 or (g, n) in ((0, 1), (0, 2)):

@@ -1,45 +1,38 @@
 """Dessin correlators from the Virasoro constraints, with memoization.
 
-The primitive value is the bare derivative
+The memoized value is the weighted correlator W_g(A) = prod(A) * D_g(A),
+where D_g(a_1, ..., a_n) = d^n F_g / dp_{a_1} ... dp_{a_n} at p = 0.
+W_g(A) is the coefficient of prod x_i^{-a_i - 1} in G_{g,n}, the value
+every cross-check compares against.  The constraints, times prod(A), give
+every value from the seed W_0(1) = s u v with no division, by eliminating
+one part c = m + 1:
 
-    D_g(a_1, ..., a_n) = d^n F_g / dp_{a_1} ... dp_{a_n}  at p = 0,
+    W_g({m+1} + A) = s * [ sum_j a_j W_g({a_j + m} + A - {a_j}) + (u+v) W_g({m} + A)
+                         + sum_{k=1}^{m-1} W_{g-1}({k, m-k} + A)
+                         + sum_{k=1}^{m-1} sum_{g1+g2=g, I1+I2=A} W_{g1}({k} + I1) W_{g2}({m-k} + I2) ],
 
-a Laurent polynomial in (s, u, v).  The constraints determine every value
-from the single seed D_0(1) = s u v by eliminating one part c = m + 1 of
-the index multiset:
+where an index 0 or a negative genus kills a term.  Any pivot terminates;
+the default eliminates the smallest part, which fills far fewer memo
+entries than "largest", kept so tests can confirm strategy independence.
 
-    (m+1)/s * D_g({m+1} + A)
-        = sum_j (a_j + m) D_g({a_j + m} + A - {a_j})
-        + (u+v) m D_g({m} + A)
-        + sum_{k=1}^{m-1} k (m-k) D_{g-1}({k, m-k} + A)
-        + sum_{k=1}^{m-1} sum_{g1+g2=g, I1+I2=A} k (m-k) D_{g1}({k} + I1) D_{g2}({m-k} + I2),
-
-with the conventions: an index 0 kills a term, negative genus kills a
-term, and D_g(1) with no spectators is s u v for g = 0 and 0 otherwise.
-The total index sum drops by one at each step, so the recursion
-terminates no matter which part is eliminated; the default strategy
-eliminates the largest part (deterministic memo keys) and a "smallest"
-strategy exists purely so tests can confirm strategy independence.
-
-The weighted correlator (prod a_i) * D_g(A) is the coefficient of
-prod x_i^{-a_i - 1} in the n-point function G_{g,n}, which is what every
-cross-check (closed forms, operator assembly, topological recursion)
-compares against.
-
-Grading facts used as assertions and genus bounds: every nonzero D_g(A)
-is s^{sum A} times u v times a symmetric polynomial in u, v of total
-degree sum(A) - n + 2 - 2g.  The degree law forces D_g({n}) = 0 once
-2g > n - 1, which truncates all-genus one-point sums.
+W_g(A) / s^{|A|} is an integer polynomial in (u, v), homogeneous of degree
+d = |A| - n + 2 - 2g, stored as the tuple of ints whose entry j is the
+coefficient of u^{d-j} v^j (empty when d < 0).  The grading thus holds by
+construction, not by assertion: every term of the recursion is a vector
+of the target's length, and the table rejects any other length.  Nonzero
+values are divisible by u v, so W_g({n}) = 0 once 2g > n - 1, which
+truncates all-genus one-point sums.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
-from typing import Dict, Iterable, Optional, Tuple
+from math import comb, factorial, prod
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import closedforms
 from .laurent import LaurentPolynomial
@@ -50,8 +43,8 @@ S = LaurentPolynomial.variable("s")
 U = LaurentPolynomial.variable("u")
 V = LaurentPolynomial.variable("v")
 
-CACHE_VERSION = 1
-CACHE_ALPHABET = ("s", "u", "v")
+CACHE_VERSION = 2
+Vector = Tuple[int, ...]  # W_g(A) / s^{|A|}: entry j is the coefficient of u^{d-j} v^j
 
 
 class CacheFormatError(ValueError):
@@ -72,14 +65,19 @@ class PartitionKey:
             raise ValueError(f"parts must be a nonempty multiset of positive integers, got {parts}")
         return cls(genus, parts)
 
+    @property
+    def degree(self) -> int:
+        """The (u,v)-degree of W_g(parts)."""
+        return sum(self.parts) - len(self.parts) + 2 - 2 * self.genus
+
 
 @dataclass
 class CorrelatorTable:
-    entries: Dict[PartitionKey, LaurentPolynomial] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
+    entries: Dict[PartitionKey, Vector] = field(default_factory=dict)
+    hits: int = field(default=0, compare=False)
+    misses: int = field(default=0, compare=False)
 
-    def get(self, key: PartitionKey) -> Optional[LaurentPolynomial]:
+    def get(self, key: PartitionKey) -> Optional[Vector]:
         value = self.entries.get(key)
         if value is None:
             self.misses += 1
@@ -87,33 +85,32 @@ class CorrelatorTable:
             self.hits += 1
         return value
 
-    def put(self, key: PartitionKey, value: LaurentPolynomial) -> None:
+    def put(self, key: PartitionKey, value: Vector) -> None:
+        if len(value) != max(key.degree + 1, 0):
+            raise ValueError(f"{key} has degree {key.degree}, got a vector of length {len(value)}")
         self.entries[key] = value
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __eq__(self, other):
-        if not isinstance(other, CorrelatorTable):
-            return NotImplemented
-        return self.entries == other.entries
-
     def save(self, path) -> None:
+        """Write beside ``path``, then rename: an interrupted save leaves the old cache."""
         payload = {
             "version": CACHE_VERSION,
-            "alphabet": list(CACHE_ALPHABET),
             "entries": [
-                {
-                    "g": key.genus,
-                    "parts": list(key.parts),
-                    "poly": self.entries[key].to_json(CACHE_ALPHABET)["terms"],
-                }
+                {"g": key.genus, "parts": list(key.parts), "w": list(self.entries[key])}
                 for key in sorted(self.entries, key=lambda k: (k.genus, k.parts))
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+                fh.write("\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path) -> "CorrelatorTable":
@@ -122,18 +119,18 @@ class CorrelatorTable:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CacheFormatError(f"unreadable correlator cache {path}: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-            raise CacheFormatError(
-                f"correlator cache {path} has version {payload.get('version')!r}, expected {CACHE_VERSION}"
-            )
-        if tuple(payload.get("alphabet", ())) != CACHE_ALPHABET:
-            raise CacheFormatError(f"correlator cache {path} uses alphabet {payload.get('alphabet')!r}")
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != CACHE_VERSION:
+            raise CacheFormatError(f"correlator cache {path} has version {version!r}, expected "
+                                   f"{CACHE_VERSION}; `dessin cache clear` removes it")
         table = cls()
         try:
             for entry in payload["entries"]:
                 key = PartitionKey.make(entry["g"], entry["parts"])
-                poly = LaurentPolynomial.from_json({"alphabet": list(CACHE_ALPHABET), "terms": entry["poly"]})
-                table.put(key, poly)
+                value = tuple(entry["w"])
+                if any(type(c) is not int for c in value) or value != value[::-1]:
+                    raise ValueError(f"{key} needs a u<->v symmetric vector of ints, got {entry['w']!r}")
+                table.put(key, value)
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"corrupt correlator cache {path}: {exc}") from exc
         return table
@@ -155,10 +152,30 @@ def _multiset_splits(parts: Tuple[int, ...]):
     return splits
 
 
+def _add(acc: List[int], vec: Vector, scale: int = 1) -> None:
+    """acc += scale * vec; the empty vector (negative degree) is zero."""
+    if vec:
+        acc[:] = [a + scale * x for a, x in zip(acc, vec, strict=True)]
+
+
+def _convolve(p: Vector, q: Vector) -> Vector:
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _as_polynomial(key: PartitionKey, vec: Vector, divisor: int) -> LaurentPolynomial:
+    """(s^{|A|} / divisor) * sum_j vec[j] u^{d-j} v^j."""
+    total, d = sum(key.parts), key.degree
+    return LaurentPolynomial(("s", "u", "v"), {(total, d - j, j): Fraction(c, divisor) for j, c in enumerate(vec)})
+
+
 class VirasoroEngine:
     """Correlator computations driven by one memo table (single writer)."""
 
-    def __init__(self, table: Optional[CorrelatorTable] = None, strategy: str = "largest"):
+    def __init__(self, table: Optional[CorrelatorTable] = None, strategy: str = "smallest"):
         if strategy not in ("largest", "smallest"):
             raise ValueError("strategy must be 'largest' or 'smallest'")
         self.table = table if table is not None else CorrelatorTable()
@@ -169,60 +186,51 @@ class VirasoroEngine:
 
     def raw_correlator(self, g: int, parts: Iterable[int]) -> LaurentPolynomial:
         key = PartitionKey.make(g, parts)
-        return self._raw(key)
+        return _as_polynomial(key, self._w(key), prod(key.parts))
 
-    def _raw(self, key: PartitionKey) -> LaurentPolynomial:
+    def weighted_correlator(self, g: int, parts: Iterable[int]) -> LaurentPolynomial:
+        key = PartitionKey.make(g, parts)
+        return _as_polynomial(key, self._w(key), 1)
+
+    def _w(self, key: PartitionKey) -> Vector:
+        d = key.degree
+        if d < 0:
+            return ()
         cached = self.table.get(key)
         if cached is not None:
             return cached
-
         g, parts = key.genus, key.parts
-        if parts == (1,):
-            value = S * U * V if g == 0 else LaurentPolynomial.zero()
-            self.table.put(key, value)
-            return value
-
-        pivot = len(parts) - 1 if self.strategy == "largest" else 0
-        c = parts[pivot]
+        pivot = 0 if self.strategy == "smallest" else len(parts) - 1
         rest = parts[:pivot] + parts[pivot + 1 :]
-        m = c - 1
-
-        acc = LaurentPolynomial.zero()
+        m = parts[pivot] - 1
+        acc = [0] * (d + 1)
+        if g == 0 and parts == (1,):
+            acc[1] = 1
         # join terms: merge the eliminated part into one spectator
-        for a, count in sorted(Counter(rest).items()):
+        for a, count in Counter(rest).items():
             reduced = list(rest)
             reduced.remove(a)
-            merged = tuple(reduced) + (a + m,)
-            acc = acc + (count * (a + m)) * self._raw(PartitionKey.make(g, merged))
-        # dilaton-type term
+            _add(acc, self._w(PartitionKey.make(g, tuple(reduced) + (a + m,))), count * a)
+        # dilaton-type term: times (u+v) is a shift by one
         if m >= 1:
-            acc = acc + m * (U + V) * self._raw(PartitionKey.make(g, rest + (m,)))
+            w = self._w(PartitionKey.make(g, rest + (m,)))
+            _add(acc, tuple(a + b for a, b in zip(w + (0,), (0,) + w)))
         # genus-lowering term
         if g >= 1:
             for k in range(1, m):
-                acc = acc + (k * (m - k)) * self._raw(PartitionKey.make(g - 1, rest + (k, m - k)))
+                _add(acc, self._w(PartitionKey.make(g - 1, rest + (k, m - k))))
         # factorization term over genus and spectator splits
         if m >= 2:
             splits = _multiset_splits(rest)
             for k in range(1, m):
                 for g1 in range(g + 1):
-                    g2 = g - g1
                     for left, right, mult in splits:
-                        acc = acc + (mult * k * (m - k)) * (
-                            self._raw(PartitionKey.make(g1, left + (k,)))
-                            * self._raw(PartitionKey.make(g2, right + (m - k,)))
-                        )
-
-        value = acc * LaurentPolynomial.monomial(Fraction(1, c), {"s": 1})
+                        w1 = self._w(PartitionKey.make(g1, left + (k,)))
+                        w2 = self._w(PartitionKey.make(g - g1, right + (m - k,)))
+                        _add(acc, _convolve(w1, w2), mult)
+        value = tuple(acc)
         self.table.put(key, value)
         return value
-
-    def weighted_correlator(self, g: int, parts: Iterable[int]) -> LaurentPolynomial:
-        parts = tuple(parts)
-        weight = 1
-        for a in parts:
-            weight *= a
-        return weight * self.raw_correlator(g, parts)
 
     # -- assembled series ----------------------------------------------------
 
@@ -257,7 +265,7 @@ class VirasoroEngine:
         total = LaurentPolynomial.zero()
         for i in range(n):
             j = n - 1 - i
-            term = LaurentPolynomial.constant(Fraction((-1) ** j, _factorial(i) * _factorial(j)))
+            term = LaurentPolynomial.constant(Fraction((-1) ** j, factorial(i) * factorial(j)))
             for a in range(1, i + 1):
                 term = term * (U + a) * (V + a)
             for b in range(1, j + 1):
@@ -375,9 +383,3 @@ class VirasoroEngine:
 
         return run_comparisons("operator-form", {"g": g, "n": n + 1, "order": order}, comparisons())
 
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

@@ -219,6 +219,12 @@ def test_cache_warm(tmp_path, capsys):
     assert (tmp_path / "correlators.json").exists()
 
 
+def test_cache_warm_order_zero_is_not_replaced(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "cache", "warm", "--order", "0", "--cache", str(tmp_path))
+    assert code == 2
+    assert "order 0" in err
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "eo-base", "--format", "text", "--seedless"

@@ -1,7 +1,11 @@
+import json
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dessin import cli
 from dessin.closedforms import S, U, V, dessin_closed_series, narayana_one_point_law
 from dessin.series import SeriesWindowError
 from dessin.virasoro import (
@@ -147,6 +151,42 @@ def test_vanishing_bound(vir):
             assert vir.raw_correlator(g, (n,)).is_zero() == (2 * g > n - 1), (g, n)
 
 
+@st.composite
+def genus_and_partition(draw):
+    """A genus g <= 3 and a partition with sum <= 12."""
+    parts, left = [], draw(st.integers(1, 12))
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    return draw(st.integers(0, 3)), tuple(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(genus_and_partition())
+def test_stored_vector_is_graded_symmetric_and_divisible(vir, case):
+    g, parts = case
+    key = PartitionKey.make(g, parts)
+    weighted = vir.weighted_correlator(g, parts)
+    # keys of negative degree are zero without a table entry
+    assert (key in vir.table.entries) == (key.degree >= 0)
+    vec = vir.table.entries.get(key, ())
+    assert len(vec) == max(key.degree + 1, 0)
+    assert all(type(c) is int for c in vec)
+    assert vec == vec[::-1]
+    assert not vec or vec[0] == vec[-1] == 0
+    assert weighted == prod(parts) * vir.raw_correlator(g, parts)
+
+
+def test_put_rejects_a_vector_of_the_wrong_length():
+    table = CorrelatorTable()
+    with pytest.raises(ValueError):
+        table.put(PartitionKey.make(0, (1,)), (0, 1))
+    with pytest.raises(ValueError):
+        table.put(PartitionKey.make(2, (1,)), (0,))  # degree -2: only () fits
+    table.put(PartitionKey.make(0, (1,)), (0, 1, 0))
+    assert table.entries == {PartitionKey.make(0, (1,)): (0, 1, 0)}
+
+
 def test_table_is_insertion_order_independent():
     first = VirasoroEngine()
     first.raw_correlator(1, (2, 3))
@@ -210,12 +250,71 @@ def test_cache_version_mismatch(tmp_path):
 
 def test_cache_corrupt_file(tmp_path):
     path = tmp_path / "table.json"
-    path.write_text('{"version": 1, "alphabet": ["s","u","v"], "entries": [{"g": 0}]}')
+    path.write_text('{"version": 2, "entries": [{"g": 0}]}')
     with pytest.raises(CacheFormatError):
         CorrelatorTable.load(path)
     path.write_text("not json at all")
     with pytest.raises(CacheFormatError):
         CorrelatorTable.load(path)
+
+
+BAD_CACHES = {
+    "v1": {"version": 1, "alphabet": ["s", "u", "v"],
+           "entries": [{"g": 0, "parts": [1], "poly": [{"e": [1, 1, 1], "c": "1/1"}]}]},
+    "not-an-object": [],
+    "wrong-length": {"version": 2, "entries": [{"g": 0, "parts": [1], "w": [0, 1, 1, 0]}]},
+    "float-coefficient": {"version": 2, "entries": [{"g": 0, "parts": [1], "w": [0, 1.0, 0]}]},
+    "string-coefficient": {"version": 2, "entries": [{"g": 0, "parts": [1], "w": [0, "1", 0]}]},
+    "bool-coefficient": {"version": 2, "entries": [{"g": 0, "parts": [1], "w": [0, True, 0]}]},
+    "not-palindromic": {"version": 2, "entries": [{"g": 0, "parts": [2], "w": [0, 1, 2, 0]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CACHES))
+def test_cache_load_rejects_bad_entries(tmp_path, name):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(BAD_CACHES[name]))
+    with pytest.raises(CacheFormatError):
+        CorrelatorTable.load(path)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CACHES))
+def test_cli_exits_two_on_bad_cache(tmp_path, capsys, name):
+    (tmp_path / cli.CACHE_FILE).write_text(json.dumps(BAD_CACHES[name]))
+    assert cli.main(["correlator", "--genus", "0", "--parts", "1", "--cache", str(tmp_path)]) == 2
+    assert "correlator cache" in capsys.readouterr().err
+
+
+def test_cache_stores_integer_vectors(tmp_path):
+    engine = VirasoroEngine()
+    engine.raw_correlator(0, (2,))
+    path = tmp_path / "table.json"
+    engine.table.save(path)
+    assert json.loads(path.read_text()) == {
+        "version": 2,
+        "entries": [{"g": 0, "parts": [1], "w": [0, 1, 0]}, {"g": 0, "parts": [2], "w": [0, 1, 1, 0]}],
+    }
+
+
+def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
+    engine = VirasoroEngine()
+    engine.raw_correlator(0, (3,))
+    path = tmp_path / "table.json"
+    engine.table.save(path)
+    before, saved = path.read_bytes(), CorrelatorTable.load(path)
+    engine.raw_correlator(1, (4, 2))
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"version": 2, "entries": [')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        engine.table.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert CorrelatorTable.load(path) == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
 
 
 def test_cache_load_extend_save_is_superset(tmp_path):
