@@ -1,9 +1,11 @@
 """Command-line surface: exact computations and verification suites.
 
 Exit codes: 0 success (or all checks passed), 1 verification failure,
-2 usage error.  Output is JSON by default (``--format text`` for a human
-rendering) and deterministic given the arguments; with ``--seedless`` the
-elapsed-time field is omitted so re-runs are byte-identical.
+2 usage error, 3 internal error (an unexpected exception, reported in one
+line on stderr).  Output is JSON by default (``--format text`` for a
+human rendering) and deterministic given the arguments; with
+``--seedless`` the elapsed-time field is omitted so re-runs are
+byte-identical.
 
 The Virasoro memo table persists as a versioned JSON cache.  Resolution
 order for its directory: ``--cache PATH`` flag, then the
@@ -466,6 +468,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

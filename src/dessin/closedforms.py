@@ -123,10 +123,7 @@ def g01_series(order: int) -> TruncatedSeries:
 
 def narayana_one_point_law(n: int) -> LaurentPolynomial:
     """s^n u v sum_k N(n,k) u^{n-k} v^{k-1}: the stated x^{-n-1} coefficient of G_{0,1}."""
-    terms = LaurentPolynomial.zero()
-    for k in range(1, n + 1):
-        terms = terms + narayana(n, k) * U ** (n - k) * V ** (k - 1)
-    return S ** n * U * V * terms
+    return S ** n * _narayana_row(n)
 
 
 def _double_pole_product(M: LaurentPolynomial, v1: str, v2: str, prefactor: int, step: int,

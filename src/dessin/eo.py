@@ -27,11 +27,14 @@ feed the z^{-1} coefficient, so a sufficiently wide truncation is exact
 and the series window discipline turns "not wide enough" into a retryable
 error instead of a wrong answer.
 
-Converting to the x-picture substitutes z(x)^2 = (1 - s beta/x)/(1 - s alpha/x)
-slotwise (even powers only, so no square roots appear), multiplies by the
-dz_i/dx_i series, and rewrites the (necessarily even) powers of a, b as
-u, v.  That series is what gets compared, coefficient by coefficient,
-against the Virasoro engine.
+Converting to the x-picture contracts w_{g,n}, one slot at a time, against
+the t = 1/x series of z(x)^{2e} dz/dx (z_i^{2e} -> the x_i^{-a-1}
+coefficient).  Since z dz = d(z^2)/2, that series is
+-(s(alpha-beta)/2) t^2 (1 - s beta t)^(e-1/2) (1 - s alpha t)^(-e-3/2).
+The form is symmetric, so only nondecreasing index prefixes are contracted,
+each partial sum shared by every tuple extending it; the (necessarily
+even) powers of a, b are then rewritten as u, v.  That series is what
+gets compared, coefficient by coefficient, against the Virasoro engine.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, sum_polys
 from .npoint import NPointSeries, index_tuples
 from .report import VerificationReport, run_comparisons
 from .series import SeriesWindowError, TruncatedSeries
@@ -202,7 +205,6 @@ class EOEngine:
         self.dual = dual
         self.alpha, self.beta = (BETA, ALPHA) if dual else (ALPHA, BETA)
         self._forms: Dict[Tuple[int, int], EOForm] = {}
-        self._slot_series_cache: Dict[Tuple[int, int], TruncatedSeries] = {}
 
     # -- kernel ------------------------------------------------------------
 
@@ -366,43 +368,45 @@ class EOEngine:
         return self.z_square_series(order).sqrt()
 
     def _slot_series(self, e: int, order: int) -> TruncatedSeries:
-        """Series of z(x)^{2e} * dz/dx in t = 1/x."""
-        key = (e, order)
-        cached = self._slot_series_cache.get(key)
-        if cached is not None:
-            return cached
-        z2 = self.z_square_series(order)
-        dz_dt = self.z_of_x_series(order + 1).differentiate()
-        jac = -dz_dt.shift(2)  # dz/dx = -t^2 dz/dt
-        if e >= 0:
-            power = _series_int_pow(z2, e, order)
-        else:
-            power = _series_int_pow(z2.invert(), -e, order)
-        out = power * jac
-        self._slot_series_cache[key] = out
-        return out
+        """z(x)^{2e} dz/dx in t = 1/x, exact through t^(order+2).
+
+        It is -(s(alpha-beta)/2) t^2 f, f = (1 - s beta t)^(e-1/2) (1 - s alpha t)^(-e-3/2),
+        and log-differentiating f gives (1 - sigma1 t + sigma2 t^2) f' = -(c + 2 sigma2 t) f
+        with sigma1 = s(alpha+beta), sigma2 = s^2 alpha beta, c = s((e-1/2) beta - (e+3/2) alpha),
+        so f_{k+1} = (k sigma1 - c) f_k / (k+1) - sigma2 f_{k-1}.
+        """
+        sigma1, sigma2 = S * (self.alpha + self.beta), S ** 2 * self.alpha * self.beta
+        c = S * ((e - Fraction(1, 2)) * self.beta - (e + Fraction(3, 2)) * self.alpha)
+        f = [LaurentPolynomial.zero(), LaurentPolynomial.constant(1)]  # f_{-1}, f_0
+        for k in range(order):
+            f.append((k * sigma1 - c) * f[-1] / (k + 1) - sigma2 * f[-2])
+        return TruncatedSeries("t", 0, order, f[1:]).shift(2) * (S * (self.beta - self.alpha) / 2)
 
     def to_x_series(self, g: int, n: int, order: int) -> NPointSeries:
-        form = self.omega(g, n)
-        names = slot_names(n)
+        """w_{g,n} contracted one slot at a time over nondecreasing index prefixes."""
+        table: Dict[int, TruncatedSeries] = {}
         out = NPointSeries(g, n, order)
-        for key in index_tuples(n, order):
-            acc = LaurentPolynomial.zero()
-            for exps, coeff in form.poly.terms():
-                term = LaurentPolynomial.constant(coeff)
-                for sym, e in zip(form.poly.alphabet, exps):
-                    if sym not in names:
-                        term = term * LaurentPolynomial.monomial(1, {sym: e})
-                for i, name in enumerate(names):
-                    if name in form.poly.alphabet:
-                        e = exps[form.poly.alphabet.index(name)] // 2
-                    else:
-                        e = 0
-                    term = term * self._slot_series(e, order).coefficient(key[i] + 1)
-                    if term.is_zero():
-                        break
-                acc = acc + term
-            out.set_coefficient(key, _ab_to_uv(acc))
+
+        def slot(e: int, a: int) -> LaurentPolynomial:
+            """The x^{-a-1} coefficient of z^{2e} dz/dx."""
+            if e not in table:
+                table[e] = self._slot_series(e, order)
+            return table[e].coefficient(a + 1)
+
+        def contract(state, prefix, budget):
+            if len(prefix) == n:
+                out.set_coefficient(prefix, _ab_to_uv(state[()]))
+                return
+            # grouped by the later slots, so each sum is reduced as soon as it is built
+            by_rest: Dict[tuple, list] = {}
+            for (e, *rest), part in state.items():
+                by_rest.setdefault(tuple(rest), []).append((e, part))
+            for a in range(prefix[-1] if prefix else 1, budget // (n - len(prefix))):
+                nxt = {rest: sum_polys(slot(e, a) * part for e, part in parts)
+                       for rest, parts in by_rest.items()}
+                contract(nxt, prefix + (a,), budget - a - 1)
+
+        contract(_by_slot_exponents(self.omega(g, n)), (), order)
         return out
 
     # -- verification ----------------------------------------------------------
@@ -450,32 +454,27 @@ class EOEngine:
         return run_comparisons("curve-identity", {"order": order}, comparisons())
 
 
-def _series_int_pow(f: TruncatedSeries, e: int, order: int) -> TruncatedSeries:
-    out = TruncatedSeries.one(f.variable, order)
-    for _ in range(e):
-        out = out * f
-    return out
+def _by_slot_exponents(form: EOForm) -> Dict[tuple, LaurentPolynomial]:
+    """w_{g,n} as {(e_1, ..., e_n): coefficient in a, b of z_1^{2 e_1} ... z_n^{2 e_n}}."""
+    poly, names = form.poly, slot_names(form.n)
+    groups: Dict[tuple, dict] = {}
+    for exps, coeff in poly.terms():
+        vec = dict(zip(poly.alphabet, exps))
+        key = tuple(vec.pop(name, 0) // 2 for name in names)
+        groups.setdefault(key, {})[(vec.get("a", 0), vec.get("b", 0))] = coeff
+    return {key: LaurentPolynomial(("a", "b"), terms) for key, terms in groups.items()}
 
 
 def _ab_to_uv(poly: LaurentPolynomial) -> LaurentPolynomial:
-    """Rewrite even powers of a, b as u, v; odd powers are a hard error."""
-    out_terms = {}
-    target = tuple(n for n in poly.alphabet if n not in ("a", "b"))
+    """Rewrite a polynomial in s, a, b over s, u = a^2, v = b^2; odd powers are a hard error."""
+    terms = {}
     for exps, coeff in poly.terms():
         vec = dict(zip(poly.alphabet, exps))
-        ea, eb = vec.pop("a", 0), vec.pop("b", 0)
-        if ea % 2 or eb % 2:
+        es, ea, eb = (vec.pop(name, 0) for name in "sab")
+        if vec or ea % 2 or eb % 2:
             raise EOInvariantError(f"x-picture coefficient is not polynomial in u, v: {poly}")
-        vec["u"] = ea // 2
-        vec["v"] = eb // 2
-        names = tuple(vec)
-        key = tuple(vec[n] for n in names)
-        acc = out_terms.setdefault(names, {})
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-    total = LaurentPolynomial.zero()
-    for names, terms in out_terms.items():
-        total = total + LaurentPolynomial(names, terms)
-    return total
+        terms[(es, ea // 2, eb // 2)] = coeff
+    return LaurentPolynomial(("s", "u", "v"), terms)
 
 
 def eo_omega(g: int, n: int, engine: Optional[EOEngine] = None) -> EOForm:

@@ -246,37 +246,19 @@ class LaurentPolynomial:
     # -- structure ---------------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, object]) -> "LaurentPolynomial":
-        """Simultaneous substitution of symbols by polynomials or scalars.
+        """Simultaneous substitution of symbols by monomials or nonzero scalars.
 
-        A symbol occurring with a negative exponent may only be replaced
-        by an invertible monomial.
+        Each image is a single term, so each term maps to exactly one term;
+        any other image raises ``ValueError``.
         """
-        repl = {}
-        for name, value in mapping.items():
-            repl[name] = value if isinstance(value, LaurentPolynomial) else LaurentPolynomial.constant(value)
-        if all(len(v._terms) == 1 for v in repl.values()):
-            return self._substitute_monomials(repl)
-        out = []
-        for e, c in self._terms.items():
-            term = LaurentPolynomial.constant(c)
-            for name, k in zip(self._alphabet, e):
-                if k == 0:
-                    continue
-                if name in repl:
-                    term = term * (repl[name] ** k)
-                else:
-                    term = term * LaurentPolynomial.monomial(1, {name: k})
-            out.append(term)
-        return sum_polys(out)
-
-    def _substitute_monomials(self, repl: Mapping[str, "LaurentPolynomial"]) -> "LaurentPolynomial":
-        """Fast path: every replacement is a single monomial, so each term maps
-        to exactly one term."""
         images = {}
-        for name, mono in repl.items():
+        for name, value in mapping.items():
+            mono = _coerce(value)
+            if mono is NotImplemented or len(mono._terms) != 1:
+                raise ValueError(f"substitution image for {name!r} is not a monomial: {value}")
             ((exps, coeff),) = mono._terms.items()
             images[name] = (dict(zip(mono._alphabet, exps)), coeff)
-        passthrough = [n for n in self._alphabet if n not in repl]
+        passthrough = [n for n in self._alphabet if n not in images]
         target = sorted(set(passthrough) | {s for vec, _ in images.values() for s in vec})
         pos = {n: i for i, n in enumerate(target)}
         acc: Dict[Exponents, Coefficient] = {}

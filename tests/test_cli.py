@@ -25,6 +25,16 @@ def test_correlator_weighted_four(tmp_path, capsys):
     assert poly == S ** 4 * U * V * (U ** 3 + 6 * U ** 2 * V + 6 * U * V ** 2 + V ** 3)
 
 
+def test_internal_error_exits_three(tmp_path, capsys):
+    """An unexpected exception is reported in one line with exit 3, never 1."""
+    parts = ",".join(["1"] * 1200)
+    code, out, err = run_cli(capsys, "correlator", "--genus", "0", "--parts", parts, "--cache", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+    assert "Traceback" not in err
+
+
 def test_verify_main_theorem_passes(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "main-theorem", "--g", "1", "--n", "1", "--order", "9",

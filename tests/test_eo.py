@@ -9,6 +9,7 @@ from dessin.eo import (
     EOInvariantError,
     W03_DISPLAY,
     W11_DISPLAY,
+    _ab_to_uv,
     bergman_kernel,
     slot_names,
     spectral_curve,
@@ -19,6 +20,11 @@ B = LaurentPolynomial.variable("b")
 S = LaurentPolynomial.variable("s")
 
 STABLE_RANGE = [(g, n) for g in range(3) for n in range(1, 7) if 0 < 2 * g - 2 + n <= 4]
+
+
+@pytest.fixture(scope="module")
+def eo_dual():
+    return EOEngine(dual=True)
 
 
 def gap2_inverse(scale):
@@ -157,7 +163,7 @@ def test_main_theorem_small(eo, vir, g, n):
     assert report.passed, report.first_discrepancy
 
 
-@pytest.mark.parametrize("g,n", [(0, 4), (0, 5), (1, 2), (2, 1)])
+@pytest.mark.parametrize("g,n", [(0, 4), (0, 5), (1, 2), (1, 3), (2, 1)])
 def test_main_theorem_no_printed_values(eo, vir, g, n):
     """Both engines run independently where nothing is printed to copy."""
     report = eo.verify_main_theorem(g, n, 10, vir)
@@ -168,6 +174,36 @@ def test_main_theorem_no_printed_values(eo, vir, g, n):
 def test_main_theorem_deeper(eo, vir, g, n):
     report = eo.verify_main_theorem(g, n, 12, vir)
     assert report.passed, report.first_discrepancy
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1)])
+def test_main_theorem_dual_chart(eo_dual, vir, g, n):
+    """The dual engine's forms reach the same x-picture series."""
+    report = eo_dual.verify_main_theorem(g, n, 10, vir)
+    assert report.passed, report.first_discrepancy
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_slot_series_closed_form_matches_square_root_route(dual):
+    """z^{2e} dz/dx from z dz = d(z^2)/2 equals z_square_series^e * (-t^2 d/dt z_of_x_series)."""
+    engine = EOEngine(dual=dual)
+    order = 12
+    z2 = engine.z_square_series(order)
+    jac = -engine.z_of_x_series(order + 1).differentiate().shift(2)
+    for e in range(-8, 9):
+        base = z2 if e >= 0 else z2.invert()
+        expected = jac
+        for _ in range(abs(e)):
+            expected = expected * base
+        assert engine._slot_series(e, order) == expected, e
+
+
+def test_ab_to_uv_rejects_odd_powers_and_other_symbols():
+    U, V = LaurentPolynomial.variable("u"), LaurentPolynomial.variable("v")
+    assert _ab_to_uv(S * A ** 2 * B ** -4 + 3 * S ** 2) == S * U * V ** -2 + 3 * S ** 2
+    for bad in (A, S * A ** 2 * B, A * B, A ** 2 * LaurentPolynomial.variable("z1")):
+        with pytest.raises(EOInvariantError):
+            _ab_to_uv(bad)
 
 
 def test_to_x_series_is_symmetric(eo):

@@ -54,6 +54,13 @@ def test_substitution_requires_invertible_for_negative_exponents():
         p.substitute({"u": A + B})
 
 
+def test_substitution_images_must_be_monomials():
+    assert (U ** 2 * V).substitute({"u": -2 * A, "v": 3}) == 12 * A ** 2
+    for image in (A + B, 0, LaurentPolynomial.zero(), "a"):
+        with pytest.raises(ValueError):
+            U.substitute({"u": image})
+
+
 def test_coefficient_extraction():
     p = S ** 2 * U + 3 * S * V - S
     assert p.coefficient_of("s", 1) == 3 * V - 1
