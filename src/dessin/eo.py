@@ -20,12 +20,24 @@ monomial and the whole recursion stays inside the Laurent ring.
 
 Each differential w_{g,n} (2g-2+n > 0) comes out as a Laurent polynomial
 in z_1..z_n, even in each variable, symmetric, and free of s.  Residues at
-the two poles are taken by truncated Laurent expansion in the local chart
-(z at 0; wt = 1/z at infinity, with the -1/wt^2 Jacobian of dz folded in),
-never by partial fractions: the finite factors bound the window that can
-feed the z^{-1} coefficient, so a sufficiently wide truncation is exact
-and the series window discipline turns "not wide enough" into a retryable
-error instead of a wrong answer.
+the two poles are taken in closed form.  Writing K-hat(z0, z) =
+kappa(z) / (z (z0^2 - z^2)) with kappa(z) = (alpha z^2 - beta)(z^2 - 1)^2 /
+(32 a^2 b^2), the expansions 1/(z0^2 - z^2) = sum_k z^2k z0^(-2k-2) at
+z = 0 and -sum_k z0^2k z^(-2k-2) at z = infinity give
+
+    (Res_{z->0} + Res_{z->infinity}) z^j dz / (z0^2 - z^2) = z0^(j-1)  (j odd; 0 for j even),
+
+so an integrand that is a Laurent polynomial F in z contributes
+kappa(z0) F(z0) / z0^2.  A Bergman factor 1/(z - sigma w)^2 expands as
+sum_p (p+1) sigma^p z^p w^(-p-2) at z = 0 and sum_p (p+1) sigma^p w^p z^(-p-2)
+at infinity, so every monomial of kappa(z) F(z) / z contracts against a
+table of the same two residues with the pair factors multiplied in; the
+table is a finite sum and is memoized per exponent.  No series is
+truncated, so no window can be too narrow.  Inside the engine each form
+is a map from integer exponent vectors (e_a, e_b, e_z1..e_zn) to integers,
+over one power of two shared by all its terms (every denominator is a
+power of two); the Laurent polynomial is built once, when the form is
+published.
 
 Converting to the x-picture contracts w_{g,n}, one slot at a time, against
 the t = 1/x series of z(x)^{2e} dz/dx (z_i^{2e} -> the x_i^{-a-1}
@@ -39,15 +51,19 @@ gets compared, coefficient by coefficient, against the Virasoro engine.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import combinations, product
+from math import prod
+from operator import add
+from typing import Dict, Optional, Sequence, Tuple
 
 from .laurent import LaurentPolynomial, sum_polys
 from .npoint import NPointSeries, index_tuples
 from .report import VerificationReport, run_comparisons
-from .series import SeriesWindowError, TruncatedSeries
+from .series import TruncatedSeries
 from .virasoro import VirasoroEngine
 
 A = LaurentPolynomial.variable("a")
@@ -58,6 +74,7 @@ ALPHA = (A - B) ** 2
 BETA = (A + B) ** 2
 # 1 / (2 (alpha - beta)^2) = 1 / (32 a^2 b^2)
 HALF_INV_GAP2 = LaurentPolynomial.monomial(Fraction(1, 32), {"a": -2, "b": -2})
+KAPPA_SHIFT = 5  # HALF_INV_GAP2 = a^-2 b^-2 / 2^KAPPA_SHIFT
 
 # the displayed base differentials w_{0,3} and w_{1,1}
 W03_DISPLAY = (
@@ -72,7 +89,7 @@ W11_DISPLAY = LaurentPolynomial.monomial(Fraction(1, 128), {"a": -2, "b": -2}) *
 
 
 class EOInvariantError(AssertionError):
-    """A computed differential violated evenness, symmetry or s-freeness."""
+    """A computed differential violated evenness, symmetry, homogeneity or s-freeness."""
 
 
 @dataclass(frozen=True)
@@ -132,22 +149,30 @@ class EOForm:
         return self.poly.substitute(dict(zip(slot_names(self.n), args)))
 
     def check_invariants(self) -> None:
+        """Free of s, even in each slot, symmetric, and homogeneous in (a, b)
+        of degree -2(2g-2+n)."""
+        label = f"w_{{{self.g},{self.n}}}"
+        alphabet, terms = self.poly.alphabet, dict(self.poly.terms())
+        if "s" in alphabet:
+            raise EOInvariantError(f"{label} mentions s")
         names = slot_names(self.n)
-        if "s" in self.poly.alphabet:
-            raise EOInvariantError(f"w_{{{self.g},{self.n}}} mentions s")
         for name in names:
-            if name in self.poly.alphabet:
-                if any(e % 2 for e, _ in _exps_of(self.poly, name)):
-                    raise EOInvariantError(f"w_{{{self.g},{self.n}}} has odd degree in {name}")
-        for i in range(self.n - 1):
-            swap = {
-                names[i]: LaurentPolynomial.variable(names[i + 1]),
-                names[i + 1]: LaurentPolynomial.variable(names[i]),
-            }
-            if self.poly.substitute(swap) != self.poly:
-                raise EOInvariantError(
-                    f"w_{{{self.g},{self.n}}} is not symmetric under {names[i]} <-> {names[i + 1]}"
-                )
+            if name in alphabet:
+                i = alphabet.index(name)
+                if any(e[i] % 2 for e in terms):
+                    raise EOInvariantError(f"{label} has odd degree in {name}")
+        for x, y in zip(names, names[1:]):
+            if x in alphabet and y in alphabet:
+                i, j = alphabet.index(x), alphabet.index(y)
+                symmetric = terms == {_swapped(e, i, j): c for e, c in terms.items()}
+            else:
+                symmetric = x not in alphabet and y not in alphabet
+            if not symmetric:
+                raise EOInvariantError(f"{label} is not symmetric under {x} <-> {y}")
+        degree = -2 * (2 * self.g - 2 + self.n)
+        ab = [i for i, name in enumerate(alphabet) if name in ("a", "b")]
+        if any(sum(e[i] for i in ab) != degree for e in terms):
+            raise EOInvariantError(f"{label} is not homogeneous of degree {degree} in a, b")
 
     def to_json(self) -> dict:
         return {
@@ -157,41 +182,96 @@ class EOForm:
         }
 
 
-def _exps_of(poly: LaurentPolynomial, name: str):
-    for e, c in poly.terms():
-        idx = poly.alphabet.index(name)
-        yield e[idx], c
+def _swapped(exps: tuple, i: int, j: int) -> tuple:
+    """exps with entries i < j exchanged."""
+    return exps[:i] + (exps[j],) + exps[i + 1 : j] + (exps[i],) + exps[j + 1 :]
 
 
-# -- residue factor descriptors ------------------------------------------------
+# -- dyadic forms -------------------------------------------------------------
 
-# ("poly", P): a Laurent polynomial factor, P in the residue symbol "z" plus spectators
-# ("pair", sign, name): 1/(z - sign * z_name)^2
-
-
-def _chart_zero_factor(desc, order: int) -> TruncatedSeries:
-    kind = desc[0]
-    if kind == "poly":
-        return TruncatedSeries.from_polynomial(desc[1], "z", order)
-    _, sign, name = desc
-    coeffs = {
-        k: (k + 1) * LaurentPolynomial.monomial(sign ** k, {name: -k - 2})
-        for k in range(order + 1)
-    }
-    return TruncatedSeries.from_map("z", coeffs, order)
+# ({(e_a, e_b, e_1, ..): c}, k) stands for sum c a^e_a b^e_b z_1^e_1 ... / 2^k
+Dyadic = Tuple[Dict[tuple, int], int]
 
 
-def _chart_inf_factor(desc, order: int) -> TruncatedSeries:
-    kind = desc[0]
-    if kind == "poly":
-        flipped = desc[1].substitute({"z": LaurentPolynomial.monomial(1, {"wt": -1})})
-        return TruncatedSeries.from_polynomial(flipped, "wt", order)
-    _, sign, name = desc
-    coeffs = {
-        k + 2: (k + 1) * LaurentPolynomial.monomial(sign ** k, {name: k})
-        for k in range(order - 1)
-    }
-    return TruncatedSeries.from_map("wt", coeffs, order)
+def _placed(form: Dyadic, slots: Sequence[int], width: int) -> Dyadic:
+    """The form with its slot j moved to exponent position slots[j]; slots
+    sent to one position are evaluated at the same variable."""
+    terms, shift = form
+    out: Dict[tuple, int] = defaultdict(int)
+    for exps, c in terms.items():
+        key = [exps[0], exps[1]] + [0] * (width - 2)
+        for pos, e in zip(slots, exps[2:]):
+            key[pos] += e
+        out[tuple(key)] += c
+    return out, shift
+
+
+def _times(x: Dyadic, y: Dyadic) -> Dyadic:
+    out: Dict[tuple, int] = defaultdict(int)
+    for ex, c in x[0].items():
+        for ey, d in y[0].items():
+            out[tuple(map(add, ex, ey))] += c * d
+    return out, x[1] + y[1]
+
+
+class _DyadicSum:
+    """A running sum of dyadic forms, kept over the largest shift seen."""
+
+    def __init__(self) -> None:
+        self.terms: Dict[tuple, int] = defaultdict(int)
+        self.shift = 0
+
+    def add(self, terms: Dict[tuple, int], shift: int, sign: int = 1) -> None:
+        if shift > self.shift:
+            for exps in self.terms:
+                self.terms[exps] <<= shift - self.shift
+            self.shift = shift
+        scale = sign << (self.shift - shift)
+        for exps, c in terms.items():
+            self.terms[exps] += c * scale
+
+    def result(self) -> Dyadic:
+        """The sum with zeros dropped and common factors of 2 divided out."""
+        terms = {exps: c for exps, c in self.terms.items() if c}
+        twos = min(((c & -c).bit_length() - 1 for c in terms.values()), default=0)
+        drop = min(twos, self.shift)
+        return {exps: c >> drop for exps, c in terms.items()}, self.shift - drop
+
+
+@lru_cache(maxsize=None)
+def _residue_table(i: int, signs: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, tuple, int], ...]:
+    """(Res_{z->0} + Res_{z->infinity}) of z^i dz / (z0^2 - z^2) times
+    sum over sigma in signs of prod_r 1/(z - sigma_r w_r)^2, as
+    (e_z0, (e_w1, ..), coefficient) triples.
+
+    The z^-1 coefficient comes from 2k + p_1 + .. + p_m = -1 - i at zero
+    (monomial z0^(-2k-2) prod w_r^(-p_r-2)) and = i - 1 - 2m at infinity
+    (monomial z0^2k prod w_r^p_r, the two minus signs cancelling), each
+    with coefficient prod (p_r+1) sigma_r^p_r.  With no pair factors
+    (signs = ((),)) this is z0^(i-1) for odd i.
+    """
+    m = len(signs[0])
+    out = []
+    for total, at_zero in ((-1 - i, True), (i - 1 - 2 * m, False)):
+        for ps in product(range(total + 1), repeat=m):
+            rest = total - sum(ps)
+            if rest < 0 or rest % 2:
+                continue
+            coeff = prod(p + 1 for p in ps) * sum(
+                prod(sign ** p for sign, p in zip(sigma, ps)) for sigma in signs
+            )
+            if coeff:
+                k = rest // 2
+                if at_zero:
+                    out.append((-2 * k - 2, tuple(-p - 2 for p in ps), coeff))
+                else:
+                    out.append((2 * k, ps, coeff))
+    return tuple(out)
+
+
+NO_PAIR = ((),)
+BERGMAN_PAIR = ((1,), (-1,))  # 1/(z - w)^2 + 1/(z + w)^2
+BERGMAN_DOUBLE = ((1, -1), (-1, 1))  # the two orderings of w_{0,3}'s pair of Bergman kernels
 
 
 class EOEngine:
@@ -205,6 +285,10 @@ class EOEngine:
         self.dual = dual
         self.alpha, self.beta = (BETA, ALPHA) if dual else (ALPHA, BETA)
         self._forms: Dict[Tuple[int, int], EOForm] = {}
+        self._dyadics: Dict[Tuple[int, int], Dyadic] = {}
+        # 2^KAPPA_SHIFT kappa(z) with integer coefficients, keyed (e_a, e_b, e_z)
+        kappa = self._kernel_poly() * HALF_INV_GAP2 * (1 << KAPPA_SHIFT)
+        self._kappa = {exps: int(c) for exps, c in kappa.terms()}
 
     # -- kernel ------------------------------------------------------------
 
@@ -224,17 +308,6 @@ class EOEngine:
         # the kernel polynomial enters whole; the product keeps geom's window
         poly = TruncatedSeries.from_polynomial(kernel, "z", max(order, kernel.degree("z")))
         return (poly * geom).shift(-1) * HALF_INV_GAP2
-
-    def _kernel_chart_inf(self, out_name: str, order: int) -> TruncatedSeries:
-        """K-hat at z = 1/wt with the dz = -dwt/wt^2 Jacobian folded in."""
-        wt = LaurentPolynomial.variable("wt")
-        poly = (self.alpha - self.beta * wt ** 2) * (1 - wt ** 2) ** 2
-        geom = TruncatedSeries.from_map(
-            "wt",
-            {2 * k: LaurentPolynomial.monomial(1, {out_name: 2 * k}) for k in range(order // 2 + 1)},
-            order,
-        )
-        return (TruncatedSeries.from_polynomial(poly, "wt", order + 5) * geom).shift(-5) * HALF_INV_GAP2
 
     def recursion_kernel_expansion(self, at: str, pos_degree_bound: int) -> TruncatedSeries:
         """Kernel series wide enough that residues against integrands of
@@ -258,6 +331,8 @@ class EOEngine:
     # -- the recursion -------------------------------------------------------
 
     def omega(self, g: int, n: int) -> EOForm:
+        if g < 0:
+            raise ValueError("genus must be nonnegative")
         if n < 1:
             raise ValueError("free-energy invariants (n = 0) are out of scope")
         if 2 * g - 2 + n <= 0:
@@ -266,94 +341,78 @@ class EOEngine:
         if key in self._forms:
             return self._forms[key]
 
-        names = slot_names(n)
-        out_name, rest = names[0], list(names[1:])
-        zvar = LaurentPolynomial.variable("z")
-        products: List[List[tuple]] = []
+        # integrands are laid out (e_a, e_b, e_z, e_z2 .. e_zn); the residue
+        # puts z1 where the residue variable z was
+        width = n + 2
+        rest = range(3, width)
+        even = _DyadicSum()
 
         # recursion bracket, first kind: w_{g-1, n+1}(z, -z, rest) = w(z, z, rest)
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                products.append([("poly", LaurentPolynomial.monomial(Fraction(1, 4), {"z": -2}))])
+                even.add({(0, 0, -2) + (0,) * (n - 1): 1}, 2)
             else:
-                lower = self.omega(g - 1, n + 1)
-                args = [zvar, zvar] + [LaurentPolynomial.variable(r) for r in rest]
-                products.append([("poly", lower.evaluated(args))])
+                even.add(*_placed(self._dyadic(g - 1, n + 1), (2, 2, *rest), width))
 
         # second kind: stable x stable factorizations
         for g1 in range(g + 1):
             g2 = g - g1
             for r in range(len(rest) + 1):
-                for pick in combinations(range(len(rest)), r):
-                    chosen = set(pick)
-                    left = [rest[i] for i in pick]
-                    right = [rest[i] for i in range(len(rest)) if i not in chosen]
+                for left in combinations(rest, r):
+                    right = [pos for pos in rest if pos not in left]
                     n1, n2 = len(left) + 1, len(right) + 1
                     if 2 * g1 - 2 + n1 <= 0 or 2 * g2 - 2 + n2 <= 0:
                         continue
-                    f1 = self.omega(g1, n1).evaluated([zvar] + [LaurentPolynomial.variable(x) for x in left])
-                    f2 = self.omega(g2, n2).evaluated([zvar] + [LaurentPolynomial.variable(x) for x in right])
-                    products.append([("poly", f1 * f2)])
+                    f1 = _placed(self._dyadic(g1, n1), (2, *left), width)
+                    f2 = _placed(self._dyadic(g2, n2), (2, *right), width)
+                    even.add(*_times(f1, f2))
+
+        total = _DyadicSum()
+        total.add(*self._residues(even.result(), NO_PAIR), sign=-1)
 
         # third kind: Bergman pairings with the remaining slots
-        if rest:
-            if (g, n - 1) == (0, 2):
-                # both factors are Bergman kernels (the first stable form)
-                za, zb = rest
-                products.append([("pair", 1, za), ("pair", -1, zb)])
-                products.append([("pair", 1, zb), ("pair", -1, za)])
-            elif 2 * g - 2 + (n - 1) > 0:
-                for i, name in enumerate(rest):
-                    others = [LaurentPolynomial.variable(x) for j, x in enumerate(rest) if j != i]
-                    partner = self.omega(g, n - 1).evaluated([zvar] + others)
-                    products.append([("pair", 1, name), ("poly", partner)])
-                    products.append([("pair", -1, name), ("poly", partner)])
+        if (g, n) == (0, 3):
+            # both factors are Bergman kernels (the first stable form)
+            total.add(*self._residues(({(0, 0, 0): 1}, 0), BERGMAN_DOUBLE), sign=-1)
+        elif rest and 2 * g - 2 + (n - 1) > 0:
+            # w_{g,n-1}(z, others) pairs with each remaining slot in turn
+            total.add(*self._residues(self._dyadic(g, n - 1), BERGMAN_PAIR, range(n - 1)), sign=-1)
 
-        total = LaurentPolynomial.zero()
-        for factors in products:
-            total = total - self._paired_residues(out_name, factors)
-
-        form = EOForm(g, n, total)
+        self._dyadics[key] = terms, shift = total.result()
+        alphabet = ("a", "b") + slot_names(n)
+        form = EOForm(g, n, LaurentPolynomial(
+            alphabet, {exps: Fraction(c, 1 << shift) for exps, c in terms.items()}))
         form.check_invariants()
         self._forms[key] = form
         return form
 
-    def _paired_residues(self, out_name: str, factors: List[tuple]) -> LaurentPolynomial:
-        """(Res_{z->0} + Res_{z->infinity}) of K-hat(out, z) * prod(factors) dz.
+    def _dyadic(self, g: int, n: int) -> Dyadic:
+        self.omega(g, n)
+        return self._dyadics[(g, n)]
 
-        Intermediate products are truncated to the window that can still
-        feed the z^{-1} coefficient given the minimum exponents of the
-        factors not yet multiplied in; everything beyond it is dead weight.
+    def _residues(self, integrand: Dyadic, signs, inserts: Sequence[int] = (0,)) -> Dyadic:
+        """(Res_{z->0} + Res_{z->infinity}) of K-hat(z1, z) F dz times
+        sum over sigma in signs of prod_r 1/(z - sigma_r w_r)^2.
+
+        F is laid out (e_a, e_b, e_z, e_1 .. e_q).  In the result z1 takes
+        the place of z, and w_1 .. w_m are inserted among F's spectators at
+        each index in inserts in turn, the results summed.
         """
-        guess = 6
-        for desc in factors:
-            if desc[0] == "poly":
-                poly = desc[1]
-                lo = poly.valuation("z")
-                hi = poly.degree("z")
-                if lo is not None:
-                    guess += max(0, -lo) + max(0, hi)
-        for attempt in range(6):
-            order = guess * (2 ** attempt)
-            try:
-                total = LaurentPolynomial.zero()
-                for chart_factor, kernel in (
-                    (_chart_zero_factor, self._kernel_chart_zero(out_name, order)),
-                    (_chart_inf_factor, self._kernel_chart_inf(out_name, order)),
-                ):
-                    series = [chart_factor(desc, order) for desc in factors]
-                    prod = kernel
-                    for i, factor in enumerate(series):
-                        needed = -1 - sum(s.min_exp for s in series[i + 1 :])
-                        factor = factor.truncated(min(factor.order, needed - prod.min_exp))
-                        prod = prod * factor
-                        if prod.order > needed:
-                            prod = prod.truncated(needed)
-                    total = total + prod.coefficient(-1)
-                return total
-            except SeriesWindowError:
-                continue
-        raise SeriesWindowError("residue window did not stabilize; factor degrees exceed retry budget")
+        terms, shift = integrand
+        kf: Dict[tuple, int] = defaultdict(int)  # kappa(z) F / z
+        for exps, c in terms.items():
+            ea, eb, ez = exps[:3]
+            tail = exps[3:]
+            for (ka, kb, kz), k in self._kappa.items():
+                kf[(ea + ka, eb + kb, ez + kz - 1) + tail] += c * k
+        out: Dict[tuple, int] = defaultdict(int)
+        for exps, c in kf.items():
+            tail = exps[3:]
+            for e0, ws, t in _residue_table(exps[2], signs):
+                head = exps[:2] + (e0,)
+                for q in inserts:
+                    out[head + tail[:q] + ws + tail[q:]] += c * t
+        return out, shift + KAPPA_SHIFT
 
     # -- x-picture conversion --------------------------------------------------
 

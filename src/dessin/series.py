@@ -10,9 +10,9 @@ window on which the result is provably exact (for products this is
 ``min(f.order + g.min_exp, g.order + f.min_exp)``), and reading a
 coefficient beyond the valid order raises :class:`SeriesWindowError`
 instead of silently returning garbage.  That discipline is what makes the
-residue extractions in the topological recursion exact rather than
-approximate: every residue is the coefficient at exponent -1 of a series
-whose window provably covers it.
+series reads exact rather than approximate: every coefficient read (a
+residue is the one at exponent -1) comes from a window that provably
+covers it.
 """
 
 from __future__ import annotations

@@ -137,6 +137,13 @@ def test_eo_json_schema(capsys):
     assert payload["form"]["alphabet"] == ["a", "b", "z1", "z2", "z3"]
 
 
+def test_eo_negative_genus_exits_two(capsys):
+    code, out, err = run_cli(capsys, "eo", "--g", "-1", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "genus must be nonnegative" in err
+
+
 def test_expand_and_npoint_agree(tmp_path, capsys):
     code, out_expand, _ = run_cli(capsys, "expand", "--which", "G11", "--order", "7")
     assert code == 0

@@ -3,7 +3,11 @@ from fractions import Fraction
 import pytest
 
 from dessin.eo import (
+    BERGMAN_DOUBLE,
+    BERGMAN_PAIR,
     BETA,
+    HALF_INV_GAP2,
+    NO_PAIR,
     EOEngine,
     EOForm,
     EOInvariantError,
@@ -15,6 +19,8 @@ from dessin.eo import (
     spectral_curve,
 )
 from dessin.laurent import LaurentPolynomial
+from dessin.series import TruncatedSeries
+
 A = LaurentPolynomial.variable("a")
 B = LaurentPolynomial.variable("b")
 S = LaurentPolynomial.variable("s")
@@ -66,6 +72,12 @@ def test_unstable_forms_rejected(eo):
     for g, n in [(0, 1), (0, 2)]:
         with pytest.raises(ValueError):
             eo.omega(g, n)
+
+
+def test_negative_genus_rejected(eo):
+    # 2g-2+n > 0 holds for (-1, 5), so the stability check alone lets it through
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        eo.omega(-1, 5)
 
 
 def test_kernel_chart_zero_leading_residue(eo):
@@ -127,7 +139,15 @@ def test_invariant_violation_is_hard_error():
         EOForm(1, 1, S * z1 ** 2).check_invariants()  # mentions s
 
 
-@pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)])
+def test_inhomogeneous_form_is_hard_error():
+    z1, z2, z3 = (LaurentPolynomial.variable(name) for name in slot_names(3))
+    EOForm(0, 3, A ** -2 * (z1 * z2 * z3) ** 2).check_invariants()  # degree -2 = -2(2g-2+n)
+    with pytest.raises(EOInvariantError, match="homogeneous"):
+        # even and symmetric, but of degrees -2 and -4 in (a, b)
+        EOForm(0, 3, (A ** -2 + B ** -4) * (z1 * z2 * z3) ** 2).check_invariants()
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (0, 5), (1, 3), (2, 2)])
 def test_chart_consistency(eo, g, n):
     """Recomputing with the two residue charts swapped gives the same form
     with alpha <-> beta and z_i <-> 1/z_i."""
@@ -176,6 +196,13 @@ def test_main_theorem_deeper(eo, vir, g, n):
     assert report.passed, report.first_discrepancy
 
 
+@pytest.mark.parametrize("g,n", [(0, 6), (1, 4), (2, 3), (1, 5)])
+def test_main_theorem_order_twelve(eo, vir, g, n):
+    """2g-2+n <= 5 at order 12; (0,7) is absent because a 7-slot tuple needs order >= 14."""
+    report = eo.verify_main_theorem(g, n, 12, vir)
+    assert report.passed, report.first_discrepancy
+
+
 @pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1)])
 def test_main_theorem_dual_chart(eo_dual, vir, g, n):
     """The dual engine's forms reach the same x-picture series."""
@@ -196,6 +223,49 @@ def test_slot_series_closed_form_matches_square_root_route(dual):
         for _ in range(abs(e)):
             expected = expected * base
         assert engine._slot_series(e, order) == expected, e
+
+
+def _pair_series(signs, variable, order, term):
+    """sum over sigma in signs of prod_r 1/(z - sigma_r w_r)^2, from term(p, sigma_r, w_r)."""
+    total = TruncatedSeries.zero(variable, order)
+    for sigma in signs:
+        factor = TruncatedSeries.one(variable, order)
+        for r, sign in enumerate(sigma):
+            terms = (term(p, sign, f"w{r + 1}") for p in range(order + 1))
+            factor = factor * TruncatedSeries.from_map(variable, {k: c for k, c in terms if k <= order}, order)
+        total = total + factor
+    return total
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_residue_contraction_matches_series_residues(dual):
+    """The closed-form residues of K-hat(z0, z) z^j dz, bare or times the
+    Bergman pair factors, equal Res_{z->0} + Res_{z->infinity} read off
+    TruncatedSeries expansions at both charts."""
+    engine = EOEngine(dual=dual)
+    kernel_inf = (engine.alpha - engine.beta * LaurentPolynomial.variable("wt") ** 2) * (
+        1 - LaurentPolynomial.variable("wt") ** 2) ** 2
+    for signs in (NO_PAIR, BERGMAN_PAIR, BERGMAN_DOUBLE):
+        m = len(signs[0])
+        for j in range(-12, 13):
+            order = abs(j) + 5
+            # z = 0: 1/(z - sigma w)^2 = sum_p (p+1) sigma^p z^p w^(-p-2)
+            at_zero = engine._kernel_chart_zero("z0", order).shift(j) * _pair_series(
+                signs, "z", order,
+                lambda p, sign, w: (p, (p + 1) * LaurentPolynomial.monomial(sign ** p, {w: -p - 2})))
+            # z = 1/wt, dz = -dwt/wt^2: K-hat dz = kernel_inf(wt) sum_k z0^2k wt^(2k-5) dwt / (32 a^2 b^2)
+            geom = TruncatedSeries.from_map(
+                "wt", {2 * k: LaurentPolynomial.monomial(1, {"z0": 2 * k}) for k in range(order // 2 + 1)}, order)
+            k_inf = (TruncatedSeries.from_polynomial(kernel_inf, "wt", order + 5) * geom).shift(-5) * HALF_INV_GAP2
+            at_inf = k_inf.shift(-j) * _pair_series(
+                signs, "wt", order,
+                lambda p, sign, w: (p + 2, (p + 1) * LaurentPolynomial.monomial(sign ** p, {w: p})))
+            expected = at_zero.coefficient(-1) + at_inf.coefficient(-1)
+
+            terms, shift = engine._residues(({(0, 0, j): 1}, 0), signs)
+            alphabet = ("a", "b", "z0", "w1", "w2")[: 3 + m]
+            got = LaurentPolynomial(alphabet, {e: Fraction(c, 1 << shift) for e, c in terms.items()})
+            assert got == expected, (signs, j)
 
 
 def test_ab_to_uv_rejects_odd_powers_and_other_symbols():
