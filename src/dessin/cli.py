@@ -69,6 +69,9 @@ def suite_one_point_fixtures(vir: VirasoroEngine) -> VerificationReport:
 
 
 def suite_narayana_law(vir: VirasoroEngine, n_max: int) -> VerificationReport:
+    if n_max < 1:
+        raise ValueError(f"the Narayana law needs n_max >= 1, got {n_max}")
+
     def comparisons():
         for n in range(1, n_max + 1):
             yield ((n, "row"), closedforms.narayana_one_point_law(n), vir.weighted_correlator(0, (n,)))
@@ -102,6 +105,9 @@ def suite_eo_base(eo: EOEngine) -> VerificationReport:
 
 
 def suite_t_rows(n_max: int = 20) -> VerificationReport:
+    if n_max < 0:
+        raise ValueError(f"the T rows need n_max >= 0, got {n_max}")
+
     def comparisons():
         for n, expected in enumerate(airy.T_ROWS):
             yield (f"row{n}", expected, [int(x) for x in airy.t_row(n).values])

@@ -39,14 +39,13 @@ over one power of two shared by all its terms (every denominator is a
 power of two); the Laurent polynomial is built once, when the form is
 published.
 
-Converting to the x-picture contracts w_{g,n}, one slot at a time, against
-the t = 1/x series of z(x)^{2e} dz/dx (z_i^{2e} -> the x_i^{-a-1}
-coefficient).  Since z dz = d(z^2)/2, that series is
--(s(alpha-beta)/2) t^2 (1 - s beta t)^(e-1/2) (1 - s alpha t)^(-e-3/2).
-The form is symmetric, so only nondecreasing index prefixes are contracted,
-each partial sum shared by every tuple extending it; the (necessarily
-even) powers of a, b are then rewritten as u, v.  That series is what
-gets compared, coefficient by coefficient, against the Virasoro engine.
+Converting to the x-picture contracts the integer form, one slot at a
+time, against one integer slot table: the x^{-k-1} coefficient of
+z(x)^{2e} dz/dx is s^k times a homogeneous polynomial of degree 2k in
+(a, b), kept as an int vector over a power of two.  Only nondecreasing
+index prefixes are contracted, each partial sum shared by every tuple
+extending it, and each step is a convolution.  Only a finished tuple
+becomes the polynomial in s, u = a^2, v = b^2 compared with the Virasoro side.
 """
 
 from __future__ import annotations
@@ -55,16 +54,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import prod
+from itertools import combinations, count, islice, product
+from math import factorial, prod
 from operator import add
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .laurent import LaurentPolynomial, sum_polys
+from .laurent import LaurentPolynomial
 from .npoint import NPointSeries, index_tuples
 from .report import VerificationReport, run_comparisons
 from .series import TruncatedSeries
-from .virasoro import VirasoroEngine
+from .virasoro import Vector, VirasoroEngine, convolve
 
 A = LaurentPolynomial.variable("a")
 B = LaurentPolynomial.variable("b")
@@ -286,6 +285,7 @@ class EOEngine:
         self.alpha, self.beta = (BETA, ALPHA) if dual else (ALPHA, BETA)
         self._forms: Dict[Tuple[int, int], EOForm] = {}
         self._dyadics: Dict[Tuple[int, int], Dyadic] = {}
+        self._slot_table: Dict[int, Tuple[List[Vector], Iterator[Vector]]] = {}  # e -> (rows so far, the rest)
         # 2^KAPPA_SHIFT kappa(z) with integer coefficients, keyed (e_a, e_b, e_z)
         kappa = self._kernel_poly() * HALF_INV_GAP2 * (1 << KAPPA_SHIFT)
         self._kappa = {exps: int(c) for exps, c in kappa.terms()}
@@ -426,46 +426,63 @@ class EOEngine:
     def z_of_x_series(self, order: int) -> TruncatedSeries:
         return self.z_square_series(order).sqrt()
 
-    def _slot_series(self, e: int, order: int) -> TruncatedSeries:
-        """z(x)^{2e} dz/dx in t = 1/x, exact through t^(order+2).
+    def _slot_rows(self, e: int) -> Iterator[Vector]:
+        """For k = 1, 2, ..: 4^(k-1) / s^k times the x^{-k-1} coefficient of z^{2e} dz/dx,
+        as the int vector of its coefficients of a^i b^(2k-i).
 
-        It is -(s(alpha-beta)/2) t^2 f, f = (1 - s beta t)^(e-1/2) (1 - s alpha t)^(-e-3/2),
-        and log-differentiating f gives (1 - sigma1 t + sigma2 t^2) f' = -(c + 2 sigma2 t) f
-        with sigma1 = s(alpha+beta), sigma2 = s^2 alpha beta, c = s((e-1/2) beta - (e+3/2) alpha),
-        so f_{k+1} = (k sigma1 - c) f_k / (k+1) - sigma2 f_{k-1}.
+        In t = 1/x, z^{2e} dz/dx = ((beta-alpha)/2) s t^2 f, f = (1 - s beta t)^(e-1/2) (1 - s alpha t)^(-e-3/2).
+        Log-differentiating f shows that h_k = 2^k k! f_k / s^k obeys h_{k+1} = (2k sigma1 - 2c) h_k
+        - 4k(k+1) sigma2 h_{k-1}, with sigma1 = alpha+beta, sigma2 = alpha beta, c = (e-1/2) beta - (e+3/2) alpha.
+        A binomial factor of f has at most 2j twos under its t^j coefficient, so 4^k f_k = 2^k h_k / k! is integral.
         """
-        sigma1, sigma2 = S * (self.alpha + self.beta), S ** 2 * self.alpha * self.beta
-        c = S * ((e - Fraction(1, 2)) * self.beta - (e + Fraction(3, 2)) * self.alpha)
-        f = [LaurentPolynomial.zero(), LaurentPolynomial.constant(1)]  # f_{-1}, f_0
-        for k in range(order):
-            f.append((k * sigma1 - c) * f[-1] / (k + 1) - sigma2 * f[-2])
-        return TruncatedSeries("t", 0, order, f[1:]).shift(2) * (S * (self.beta - self.alpha) / 2)
+        alpha, beta = ((1, 2, 1), (1, -2, 1)) if self.dual else ((1, -2, 1), (1, 2, 1))  # (a -+ b)^2
+        sigma1, sigma2 = tuple(map(add, alpha, beta)), convolve(alpha, beta)
+        c2 = [(2 * e - 1) * y - (2 * e + 3) * x for x, y in zip(alpha, beta)]
+        half_gap = [(y - x) // 2 for x, y in zip(alpha, beta)]
+        h_prev, h = (), (1,)
+        for k in count():
+            yield convolve(half_gap, [(c << k) // factorial(k) for c in h])
+            lower = convolve(sigma2, h_prev) or [0] * (len(h) + 2)  # h_{-1} = 0
+            upper = convolve([2 * k * x - y for x, y in zip(sigma1, c2)], h)
+            h_prev, h = h, tuple(x - 4 * k * (k + 1) * y for x, y in zip(upper, lower))
 
     def to_x_series(self, g: int, n: int, order: int) -> NPointSeries:
         """w_{g,n} contracted one slot at a time over nondecreasing index prefixes."""
-        table: Dict[int, TruncatedSeries] = {}
+        if order < 2 * n:
+            raise ValueError(f"order {order} cannot hold any {n}-point tuple (need >= {2 * n})")
+        terms, shift = self._dyadic(g, n)
+        lo, hi = min(exps[0] for exps in terms), max(exps[0] for exps in terms)
+        # partial sums are int vectors over the exponent of a; homogeneity fixes that of b
+        state: Dict[tuple, list] = defaultdict(lambda: [0] * (hi - lo + 1))
+        for exps, c in terms.items():
+            state[exps[2:]][exps[0] - lo] += c
+        slots = {}  # 2e -> the slot-table row of z^{2e} dz/dx, through the largest index
+        for ze in {ze for key in state for ze in key}:
+            rows, more = self._slot_table.setdefault(ze // 2, ([], self._slot_rows(ze // 2)))
+            rows.extend(islice(more, max(order - 2 * n + 1 - len(rows), 0)))
+            slots[ze] = rows
         out = NPointSeries(g, n, order)
-
-        def slot(e: int, a: int) -> LaurentPolynomial:
-            """The x^{-a-1} coefficient of z^{2e} dz/dx."""
-            if e not in table:
-                table[e] = self._slot_series(e, order)
-            return table[e].coefficient(a + 1)
 
         def contract(state, prefix, budget):
             if len(prefix) == n:
-                out.set_coefficient(prefix, _ab_to_uv(state[()]))
+                # s^total a^ea b^eb / 2^twos, with ea + eb even, must be an integer times u^(ea/2) v^(eb/2)
+                total = sum(prefix)
+                twos, coeffs = shift + 2 * (total - n), {ea: c for ea, c in enumerate(state[()], lo) if c}
+                if any(ea % 2 or c % (1 << twos) for ea, c in coeffs.items()):
+                    raise EOInvariantError(f"x-picture coefficient at {prefix} is not an integer polynomial in u, v")
+                out.set_coefficient(prefix, LaurentPolynomial(("s", "u", "v"), {
+                    (total, ea // 2, total + 2 - 2 * g - n - ea // 2): c >> twos for ea, c in coeffs.items()}))
                 return
             # grouped by the later slots, so each sum is reduced as soon as it is built
             by_rest: Dict[tuple, list] = {}
-            for (e, *rest), part in state.items():
-                by_rest.setdefault(tuple(rest), []).append((e, part))
-            for a in range(prefix[-1] if prefix else 1, budget // (n - len(prefix))):
-                nxt = {rest: sum_polys(slot(e, a) * part for e, part in parts)
+            for key, vec in state.items():
+                by_rest.setdefault(key[1:], []).append((slots[key[0]], vec))
+            for k in range(prefix[-1] if prefix else 1, budget // (n - len(prefix))):
+                nxt = {rest: tuple(map(sum, zip(*(convolve(row[k - 1], vec) for row, vec in parts))))
                        for rest, parts in by_rest.items()}
-                contract(nxt, prefix + (a,), budget - a - 1)
+                contract(nxt, prefix + (k,), budget - k - 1)
 
-        contract(_by_slot_exponents(self.omega(g, n)), (), order)
+        contract(state, (), order)
         return out
 
     # -- verification ----------------------------------------------------------
@@ -511,29 +528,6 @@ class EOEngine:
                     yield ((chart, k), rhs.coefficient(k), lhs.coefficient(k))
 
         return run_comparisons("curve-identity", {"order": order}, comparisons())
-
-
-def _by_slot_exponents(form: EOForm) -> Dict[tuple, LaurentPolynomial]:
-    """w_{g,n} as {(e_1, ..., e_n): coefficient in a, b of z_1^{2 e_1} ... z_n^{2 e_n}}."""
-    poly, names = form.poly, slot_names(form.n)
-    groups: Dict[tuple, dict] = {}
-    for exps, coeff in poly.terms():
-        vec = dict(zip(poly.alphabet, exps))
-        key = tuple(vec.pop(name, 0) // 2 for name in names)
-        groups.setdefault(key, {})[(vec.get("a", 0), vec.get("b", 0))] = coeff
-    return {key: LaurentPolynomial(("a", "b"), terms) for key, terms in groups.items()}
-
-
-def _ab_to_uv(poly: LaurentPolynomial) -> LaurentPolynomial:
-    """Rewrite a polynomial in s, a, b over s, u = a^2, v = b^2; odd powers are a hard error."""
-    terms = {}
-    for exps, coeff in poly.terms():
-        vec = dict(zip(poly.alphabet, exps))
-        es, ea, eb = (vec.pop(name, 0) for name in "sab")
-        if vec or ea % 2 or eb % 2:
-            raise EOInvariantError(f"x-picture coefficient is not polynomial in u, v: {poly}")
-        terms[(es, ea // 2, eb // 2)] = coeff
-    return LaurentPolynomial(("s", "u", "v"), terms)
 
 
 def eo_omega(g: int, n: int, engine: Optional[EOEngine] = None) -> EOForm:

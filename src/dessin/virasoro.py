@@ -31,8 +31,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, prod
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import closedforms
 from .laurent import LaurentPolynomial
@@ -40,8 +41,6 @@ from .npoint import NPointSeries, index_tuples
 from .report import VerificationReport, run_comparisons
 
 S = LaurentPolynomial.variable("s")
-U = LaurentPolynomial.variable("u")
-V = LaurentPolynomial.variable("v")
 
 CACHE_VERSION = 2
 Vector = Tuple[int, ...]  # W_g(A) / s^{|A|}: entry j is the coefficient of u^{d-j} v^j
@@ -158,11 +157,13 @@ def _add(acc: List[int], vec: Vector, scale: int = 1) -> None:
         acc[:] = [a + scale * x for a, x in zip(acc, vec, strict=True)]
 
 
-def _convolve(p: Vector, q: Vector) -> Vector:
+def convolve(p: Sequence[int], q: Sequence[int]) -> Vector:
+    """The product of two polynomials given by their coefficient vectors."""
     out = [0] * (len(p) + len(q) - 1) if p and q else []
     for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
     return tuple(out)
 
 
@@ -227,7 +228,7 @@ class VirasoroEngine:
                     for left, right, mult in splits:
                         w1 = self._w(PartitionKey.make(g1, left + (k,)))
                         w2 = self._w(PartitionKey.make(g - g1, right + (m - k,)))
-                        _add(acc, _convolve(w1, w2), mult)
+                        _add(acc, convolve(w1, w2), mult)
         value = tuple(acc)
         self.table.put(key, value)
         return value
@@ -258,20 +259,19 @@ class VirasoroEngine:
             (s^n u v / n) sum_{i+j=n-1} (-1)^j / (i! j!)
                 * prod_{a=1}^{i} (u+a)(v+a) * prod_{b=1}^{j} (u-b)(v-b),
 
-        an oracle completely independent of the recursion.
+        an oracle completely independent of the recursion.  Over n! it is the
+        sum of (-1)^j C(n-1, i) r_i(u) r_i(v), r_i(x) = prod (x+a) prod (x-b).
         """
         if n < 1:
             raise ValueError("one-point index must be positive")
-        total = LaurentPolynomial.zero()
+        total: Counter = Counter()  # keyed by (s, u, v) exponents
         for i in range(n):
-            j = n - 1 - i
-            term = LaurentPolynomial.constant(Fraction((-1) ** j, factorial(i) * factorial(j)))
-            for a in range(1, i + 1):
-                term = term * (U + a) * (V + a)
-            for b in range(1, j + 1):
-                term = term * (U - b) * (V - b)
-            total = total + term
-        return S ** n * U * V * total * Fraction(1, n)
+            r = reduce(convolve, [(-root, 1) for root in (*range(-i, 0), *range(1, n - i))], (1,))
+            weight = (-1) ** (n - 1 - i) * comb(n - 1, i)
+            for p, x in enumerate(r):
+                for q, y in enumerate(r):
+                    total[(n, p + 1, q + 1)] += weight * x * y
+        return LaurentPolynomial(("s", "u", "v"), {key: Fraction(c, factorial(n)) for key, c in total.items()})
 
     # -- operator-form assembly ----------------------------------------------
 
@@ -368,11 +368,10 @@ class VirasoroEngine:
     # -- reports ---------------------------------------------------------------
 
     def kp_oracle_report(self, n_max: int) -> VerificationReport:
-        return run_comparisons(
-            "kp-oracle",
-            {"n_max": n_max},
-            ((n, self.kp_one_point(n), self.one_point_all_genus(n)) for n in range(1, n_max + 1)),
-        )
+        if n_max < 1:
+            raise ValueError(f"the kp oracle needs n_max >= 1, got {n_max}")
+        return run_comparisons("kp-oracle", {"n_max": n_max}, (
+            (n, self.kp_one_point(n), self.one_point_all_genus(n)) for n in range(1, n_max + 1)))
 
     def operator_form_report(self, g: int, n: int, order: int) -> VerificationReport:
         def comparisons():

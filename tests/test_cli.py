@@ -130,6 +130,21 @@ def test_explicit_order_zero_is_not_replaced(capsys):
     assert code == 2, err
 
 
+@pytest.mark.parametrize("suite,order,message", [
+    ("kp-oracle", "0", "n_max >= 1"),
+    ("narayana-law", "0", "n_max >= 1"),
+    ("t-rows", "-1", "n_max >= 0"),
+    ("main-theorem", "5", "cannot hold any 3-point tuple"),
+])
+def test_orders_with_nothing_to_check_exit_two(suite, order, message, tmp_path, capsys):
+    """An order that leaves a suite nothing (or only fixtures) to check is a
+    usage error, not a vacuous pass."""
+    extra = ("--g", "0", "--n", "3") if suite == "main-theorem" else ()
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--order", order, *extra, "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_eo_json_schema(capsys):
     code, out, _ = run_cli(capsys, "eo", "--g", "0", "--n", "3")
     assert code == 0

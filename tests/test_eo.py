@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,7 +14,6 @@ from dessin.eo import (
     EOInvariantError,
     W03_DISPLAY,
     W11_DISPLAY,
-    _ab_to_uv,
     bergman_kernel,
     slot_names,
     spectral_curve,
@@ -203,6 +203,13 @@ def test_main_theorem_order_twelve(eo, vir, g, n):
     assert report.passed, report.first_discrepancy
 
 
+@pytest.mark.parametrize("g,n,order,dual", [
+    (0, 6, 14, False), (2, 3, 14, False), (3, 1, 20, False), (3, 2, 16, False), (1, 2, 16, True)])
+def test_main_theorem_deep_orders(eo, eo_dual, vir, g, n, order, dual):
+    report = (eo_dual if dual else eo).verify_main_theorem(g, n, order, vir)
+    assert report.passed, report.first_discrepancy
+
+
 @pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1)])
 def test_main_theorem_dual_chart(eo_dual, vir, g, n):
     """The dual engine's forms reach the same x-picture series."""
@@ -212,7 +219,7 @@ def test_main_theorem_dual_chart(eo_dual, vir, g, n):
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_slot_series_closed_form_matches_square_root_route(dual):
-    """z^{2e} dz/dx from z dz = d(z^2)/2 equals z_square_series^e * (-t^2 d/dt z_of_x_series)."""
+    """The integer slot table holds z^{2e} dz/dx = z_square_series^e * (-t^2 d/dt z_of_x_series)."""
     engine = EOEngine(dual=dual)
     order = 12
     z2 = engine.z_square_series(order)
@@ -222,7 +229,13 @@ def test_slot_series_closed_form_matches_square_root_route(dual):
         expected = jac
         for _ in range(abs(e)):
             expected = expected * base
-        assert engine._slot_series(e, order) == expected, e
+        assert expected.order == order + 2
+        # row k - 1 is 4^(k-1) / s^k times the t^(k+1) coefficient, entry i at a^i b^(2k-i)
+        table = [LaurentPolynomial.zero()] * 2 + [
+            S ** k * LaurentPolynomial(("a", "b"), {(i, 2 * k - i): Fraction(c, 4 ** (k - 1))
+                                                    for i, c in enumerate(row)})
+            for k, row in enumerate(islice(engine._slot_rows(e), order + 1), 1)]
+        assert [expected.coefficient(j) for j in range(order + 3)] == table, e
 
 
 def _pair_series(signs, variable, order, term):
@@ -268,12 +281,24 @@ def test_residue_contraction_matches_series_residues(dual):
             assert got == expected, (signs, j)
 
 
-def test_ab_to_uv_rejects_odd_powers_and_other_symbols():
+def test_x_picture_edge_rejects_odd_powers_and_non_integers():
+    """The contraction ends in a polynomial in u = a^2, v = b^2 with integer
+    coefficients; a doctored w_{0,3} that breaks either is a hard error."""
     U, V = LaurentPolynomial.variable("u"), LaurentPolynomial.variable("v")
-    assert _ab_to_uv(S * A ** 2 * B ** -4 + 3 * S ** 2) == S * U * V ** -2 + 3 * S ** 2
-    for bad in (A, S * A ** 2 * B, A * B, A ** 2 * LaurentPolynomial.variable("z1")):
+    engine = EOEngine()
+    terms, shift = engine._dyadic(0, 3)
+    assert engine.to_x_series(0, 3, 6).coefficient((1, 1, 1)) == 2 * S ** 3 * U * V
+    odd = dict(terms)
+    odd[(0, -2, 0, 0, 0)] = odd.get((0, -2, 0, 0, 0), 0) + (1 << shift)  # (2ab)^3 b^-2: integral, odd powers
+    for doctored in ((odd, shift), (terms, shift + 2)):  # s^3 u v / 2 is not integral
+        engine._dyadics[(0, 3)] = doctored
         with pytest.raises(EOInvariantError):
-            _ab_to_uv(bad)
+            engine.to_x_series(0, 3, 6)
+
+
+def test_to_x_series_rejects_orders_without_tuples(eo):
+    with pytest.raises(ValueError, match="cannot hold any 3-point tuple"):
+        eo.to_x_series(0, 3, 5)
 
 
 def test_to_x_series_is_symmetric(eo):

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +110,25 @@ def test_kp_formula_values(vir):
     expected2 = Fraction(1, 2) * S ** 2 * U * V * ((U + 1) * (V + 1) - (U - 1) * (V - 1))
     assert vir.kp_one_point(2) == expected2
     assert vir.kp_one_point(3) == S ** 3 * U * V * (U ** 2 + 3 * U * V + V ** 2 + 1)
+
+
+def kp_one_point_by_products(n):
+    """The oracle's finite sum evaluated term by term with Fraction polynomial products."""
+    total = 0
+    for i in range(n):
+        j = n - 1 - i
+        term = Fraction((-1) ** j, factorial(i) * factorial(j))
+        for a in range(1, i + 1):
+            term = term * (U + a) * (V + a)
+        for b in range(1, j + 1):
+            term = term * (U - b) * (V - b)
+        total = total + term
+    return S ** n * U * V * total * Fraction(1, n)
+
+
+def test_kp_outer_products_match_the_term_by_term_sum():
+    for n in range(1, 13):
+        assert VirasoroEngine.kp_one_point(n) == kp_one_point_by_products(n), n
 
 
 def test_oracle_equality(vir):
