@@ -97,11 +97,12 @@ def odd_double_factorial(n: int) -> int:
 # -- dessin closed forms -----------------------------------------------------
 
 
+DELTA = {0: 1, 1: -2 * S * (U + V), 2: S * S * (U - V) ** 2}  # Delta's coefficients in t = 1/x
+
+
 def delta_series(var: str, order: int) -> TruncatedSeries:
     """Delta as a series in t = 1/x."""
-    return TruncatedSeries.from_map(
-        var, {0: 1, 1: -2 * S * (U + V), 2: S * S * (U - V) ** 2}, order
-    )
+    return TruncatedSeries.from_map(var, DELTA, order)
 
 
 def sqrt_delta_series(var: str, order: int) -> TruncatedSeries:
@@ -151,22 +152,24 @@ def _double_pole_product(M: LaurentPolynomial, v1: str, v2: str, prefactor: int,
     return {key: val for key, val in out.items() if not val.is_zero()}
 
 
+def _half_double_pole(num: LaurentPolynomial, f: Dict[int, object], names: Tuple[str, str], depth: int,
+                      max_total: int) -> Dict[Tuple[int, int], LaurentPolynomial]:
+    """(num / sqrt(f(w1) f(w2)) - 1) / 2 through total degree depth, times the
+    double pole as in _double_pole_product; f maps powers of w to coefficients.
+    The square root factors, so it is a product of two one-variable series."""
+    w1, w2 = names
+    root = mul_trunc(*(TruncatedSeries.from_map(w, f, depth).sqrt().invert().as_polynomial() for w in names),
+                     names, depth)
+    M = mul_trunc(num, root, names, depth) - 1
+    table = _double_pole_product(M, w1, w2, prefactor=2, step=1, max_total=max_total)
+    return {k: Fraction(1, 2) * v for k, v in table.items()}
+
+
 def _dessin_g02_table(order: int) -> Dict[Tuple[int, int], LaurentPolynomial]:
-    t1, t2 = "t1", "t2"
-    tvars = (t1, t2)
-    depth = order - 2
-    T1 = LaurentPolynomial.variable(t1)
-    T2 = LaurentPolynomial.variable(t2)
+    T1, T2 = LaurentPolynomial.variable("t1"), LaurentPolynomial.variable("t2")
     suv = S * (U + V)
-    sd2 = S * S * (U - V) ** 2
-    num = 1 - suv * T1 - suv * T2 + sd2 * T1 * T2
-    d1 = 1 - 2 * suv * T1 + sd2 * T1 ** 2
-    d2 = 1 - 2 * suv * T2 + sd2 * T2 ** 2
-    inv_sqrt = unit_pow_trunc(mul_trunc(d1, d2, tvars, depth), Fraction(-1, 2), tvars, depth)
-    M = mul_trunc(num, inv_sqrt, tvars, depth) - 1
-    table = _double_pole_product(M, t1, t2, prefactor=2, step=1, max_total=order)
-    half = Fraction(1, 2)
-    table = {k: half * v for k, v in table.items()}
+    num = 1 - suv * T1 - suv * T2 + DELTA[2] * T1 * T2
+    table = _half_double_pole(num, DELTA, ("t1", "t2"), order - 2, order)
     for (e1, e2), val in table.items():
         if e2 < 2 and not val.is_zero():
             raise AssertionError(f"double-pole subtraction left residue at exponents ({e1},{e2}): {val}")
@@ -177,25 +180,26 @@ def dessin_closed_series(which: str, order: int) -> NPointSeries:
     """Expand one of the dessin closed forms: G01, G02, G03 or G11."""
     which = which.upper()
     if which == "G01":
-        g = g01_series(order)
         out = NPointSeries(0, 1, order)
+        g = g01_series(order)
         for a in range(1, order):
-            out.set_coefficient((a,), g.coefficient(a + 1))
+            out.set_polynomial((a,), g.coefficient(a + 1))
         return out
 
     if which == "G02":
-        table = _dessin_g02_table(order)
         out = NPointSeries(0, 2, order)
+        table = _dessin_g02_table(order)
         for (e1, e2), val in table.items():
             if (e1, e2) != tuple(sorted((e1, e2))):
                 continue
             sym = table.get((e2, e1), LaurentPolynomial.zero())
             if sym != val:
                 raise AssertionError(f"asymmetric two-point expansion at ({e1},{e2})")
-            out.set_coefficient((e1 - 1, e2 - 1), val)
+            out.set_polynomial((e1 - 1, e2 - 1), val)
         return out
 
     if which == "G03":
+        out = NPointSeries(0, 3, order)
         tvars = ("t1", "t2", "t3")
         tpoly = [LaurentPolynomial.variable(n) for n in tvars]
         sd2 = S * S * (U - V) ** 2
@@ -205,10 +209,9 @@ def dessin_closed_series(which: str, order: int) -> NPointSeries:
             + 2 * (U + V) * sd2 * S * tpoly[0] * tpoly[1] * tpoly[2]
         )
         acc = 2 * S ** 3 * U * V * num
-        for name in tvars:
-            factor = delta_series(name, order).unit_pow(Fraction(-3, 2)).shift(2).as_polynomial()
-            acc = mul_trunc(acc, factor, tvars, order)
-        out = NPointSeries(0, 3, order)
+        factor = delta_series("t", order).unit_pow(Fraction(-3, 2)).shift(2).as_polynomial()
+        for tvar in tpoly:
+            acc = mul_trunc(acc, factor.substitute({"t": tvar}), tvars, order)
         seen = {}
         for e1 in acc.exponent_range(tvars[0]):
             p1 = acc.coefficient_of(tvars[0], e1)
@@ -223,14 +226,14 @@ def dessin_closed_series(which: str, order: int) -> NPointSeries:
                         raise AssertionError(f"asymmetric three-point expansion at {key}")
                     seen[key] = c
         for key, c in seen.items():
-            out.set_coefficient(key, c)
+            out.set_polynomial(key, c)
         return out
 
     if which == "G11":
-        g = delta_series("t", order).unit_pow(Fraction(-5, 2)).shift(4) * (U * V * S ** 3)
         out = NPointSeries(1, 1, order)
+        g = delta_series("t", order).unit_pow(Fraction(-5, 2)).shift(4) * (U * V * S ** 3)
         for a in range(3, order):
-            out.set_coefficient((a,), g.coefficient(a + 1))
+            out.set_polynomial((a,), g.coefficient(a + 1))
         return out
 
     raise ValueError(f"unknown closed form {which!r}; expected one of G01, G02, G03, G11")
@@ -438,15 +441,8 @@ def _check_hermitian_one(order: int) -> Iterator:
 def _check_hermitian_two(order: int) -> Iterator:
     t = LaurentPolynomial.variable("t")
     wmax = 2 * order + 2
-    w1, w2 = "w1", "w2"
-    W1, W2 = LaurentPolynomial.variable(w1), LaurentPolynomial.variable(w2)
-    tvars = (w1, w2)
-    depth = wmax - 2
-    radic = mul_trunc(1 - 4 * t * W1 ** 2, 1 - 4 * t * W2 ** 2, tvars, depth)
-    usr = unit_pow_trunc(radic, Fraction(-1, 2), tvars, depth)
-    M = mul_trunc(1 - 4 * t * W1 * W2, usr, tvars, depth) - 1
-    table = _double_pole_product(M, w1, w2, prefactor=2, step=1, max_total=wmax)
-    table = {k: Fraction(1, 2) * v for k, v in table.items()}
+    W1, W2 = LaurentPolynomial.variable("w1"), LaurentPolynomial.variable("w2")
+    table = _half_double_pole(1 - 4 * t * W1 * W2, {0: 1, 2: -4 * t}, ("w1", "w2"), wmax - 2, wmax)
     for j1 in range(wmax + 1):
         for j2 in range(wmax + 1 - j1):
             actual = table.get((j1, j2), LaurentPolynomial.zero())
@@ -484,15 +480,8 @@ def _check_even_coupling_one(order: int) -> Iterator:
 def _check_even_coupling_two(order: int) -> Iterator:
     t = LaurentPolynomial.variable("t")
     wmax = order + 2
-    w1, w2 = "w1", "w2"
-    W1, W2 = LaurentPolynomial.variable(w1), LaurentPolynomial.variable(w2)
-    tvars = (w1, w2)
-    depth = wmax - 2
-    radic = mul_trunc(1 - 4 * t * W1, 1 - 4 * t * W2, tvars, depth)
-    usr = unit_pow_trunc(radic, Fraction(-1, 2), tvars, depth)
-    M = mul_trunc(1 - 2 * t * W1 - 2 * t * W2, usr, tvars, depth) - 1
-    table = _double_pole_product(M, w1, w2, prefactor=2, step=1, max_total=wmax)
-    table = {k: Fraction(1, 2) * v for k, v in table.items()}
+    W1, W2 = LaurentPolynomial.variable("w1"), LaurentPolynomial.variable("w2")
+    table = _half_double_pole(1 - 2 * t * W1 - 2 * t * W2, {0: 1, 1: -4 * t}, ("w1", "w2"), wmax - 2, wmax)
     for j1 in range(wmax + 1):
         for j2 in range(wmax + 1 - j1):
             actual = table.get((j1, j2), LaurentPolynomial.zero())
@@ -573,4 +562,6 @@ def catalog_check(key: str, order: int) -> VerificationReport:
     parts = tuple(key.split("/"))
     if len(parts) != 2 or parts not in CATALOG:
         raise KeyError(f"unknown catalog key {key!r}; valid keys: {', '.join(catalog_names())}")
+    if order < 1:
+        raise ValueError("catalog checks need order >= 1")
     return run_comparisons(f"catalog:{key}", {"key": key, "order": order}, CATALOG[parts](order))

@@ -44,8 +44,8 @@ time, against one integer slot table: the x^{-k-1} coefficient of
 z(x)^{2e} dz/dx is s^k times a homogeneous polynomial of degree 2k in
 (a, b), kept as an int vector over a power of two.  Only nondecreasing
 index prefixes are contracted, each partial sum shared by every tuple
-extending it, and each step is a convolution.  Only a finished tuple
-becomes the polynomial in s, u = a^2, v = b^2 compared with the Virasoro side.
+extending it, and each step is a convolution.  A finished tuple becomes
+the graded (u, v) vector, u = a^2 and v = b^2, that the Virasoro side stores.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import LaurentPolynomial
-from .npoint import NPointSeries, index_tuples
+from .npoint import NPointSeries, Vector, index_tuples
 from .report import VerificationReport, run_comparisons
 from .series import TruncatedSeries
-from .virasoro import Vector, VirasoroEngine, convolve
+from .virasoro import VirasoroEngine, convolve
 
 A = LaurentPolynomial.variable("a")
 B = LaurentPolynomial.variable("b")
@@ -448,8 +448,7 @@ class EOEngine:
 
     def to_x_series(self, g: int, n: int, order: int) -> NPointSeries:
         """w_{g,n} contracted one slot at a time over nondecreasing index prefixes."""
-        if order < 2 * n:
-            raise ValueError(f"order {order} cannot hold any {n}-point tuple (need >= {2 * n})")
+        out = NPointSeries(g, n, order)
         terms, shift = self._dyadic(g, n)
         lo, hi = min(exps[0] for exps in terms), max(exps[0] for exps in terms)
         # partial sums are int vectors over the exponent of a; homogeneity fixes that of b
@@ -461,17 +460,20 @@ class EOEngine:
             rows, more = self._slot_table.setdefault(ze // 2, ([], self._slot_rows(ze // 2)))
             rows.extend(islice(more, max(order - 2 * n + 1 - len(rows), 0)))
             slots[ze] = rows
-        out = NPointSeries(g, n, order)
 
         def contract(state, prefix, budget):
             if len(prefix) == n:
-                # s^total a^ea b^eb / 2^twos, with ea + eb even, must be an integer times u^(ea/2) v^(eb/2)
+                # s^total a^ea b^eb / 2^twos, with ea + eb = 2d, must be an integer times u^(ea/2) v^(d-ea/2)
                 total = sum(prefix)
-                twos, coeffs = shift + 2 * (total - n), {ea: c for ea, c in enumerate(state[()], lo) if c}
-                if any(ea % 2 or c % (1 << twos) for ea, c in coeffs.items()):
-                    raise EOInvariantError(f"x-picture coefficient at {prefix} is not an integer polynomial in u, v")
-                out.set_coefficient(prefix, LaurentPolynomial(("s", "u", "v"), {
-                    (total, ea // 2, total + 2 - 2 * g - n - ea // 2): c >> twos for ea, c in coeffs.items()}))
+                twos, d = shift + 2 * (total - n), out.degree(prefix)
+                vec = [0] * max(d + 1, 0)
+                for ea, c in enumerate(state[()], lo):
+                    if c:
+                        if ea % 2 or c % (1 << twos) or not 0 <= ea // 2 <= d:
+                            raise EOInvariantError(
+                                f"x-picture coefficient at {prefix} is not an integer polynomial in u, v of degree {d}")
+                        vec[d - ea // 2] = c >> twos
+                out.set_coefficient(prefix, tuple(vec))
                 return
             # grouped by the later slots, so each sum is reduced as soon as it is built
             by_rest: Dict[tuple, list] = {}
@@ -504,6 +506,8 @@ class EOEngine:
     def curve_identity_report(self, order: int = 20) -> VerificationReport:
         """4 s^2 y(z)^2 x(z)^2 - (x(z)^2 - 2s(u+v) x(z) + s^2 (u-v)^2) = 0,
         checked as series at both charts (via the pole-free product y*x)."""
+        if order < 2:
+            raise ValueError("the curve identity needs order >= 2")
         uv_sum = A ** 2 + B ** 2
         uv_diff2 = (A ** 2 - B ** 2) ** 2
 

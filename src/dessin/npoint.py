@@ -4,24 +4,28 @@ An ``NPointSeries`` holds the coefficients of
 
     G_{g,n}(x_1, ..., x_n) = sum  c(a_1, ..., a_n) / (x_1^{a_1+1} ... x_n^{a_n+1})
 
-for all index tuples with sum(a_i + 1) <= order, each coefficient an exact
-Laurent polynomial (in s, u, v for the dessin engines).  The expansion is
-symmetric under permuting the slots, so coefficients are stored once per
-sorted tuple and looked up order-insensitively.  This is the common
-currency in which the Virasoro recursion, the operator-form assembly, the
-closed forms and the topological recursion are compared coefficient by
-coefficient.
+for all index tuples A with sum(a_i + 1) <= order.  Each coefficient is
+s^{|A|} times an integer polynomial in (u, v) homogeneous of degree
+d = |A| - n + 2 - 2g, stored as the Virasoro memo's graded vector: entry j
+is the coefficient of u^{d-j} v^j.  All four routes (the Virasoro
+recursion, the operator-form assembly, the closed forms and the
+topological recursion) write these vectors, the setter rejects any other
+length, and comparison is tuple equality.  The polynomial is built only
+when a coefficient is read; ``as_vector`` is its checked inverse.  The
+expansion is symmetric, so coefficients are stored once per sorted tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .laurent import LaurentPolynomial
 from .series import SeriesWindowError
 
 IndexTuple = Tuple[int, ...]
+Vector = Tuple[int, ...]  # entry j is the coefficient of u^{d-j} v^j
 
 
 def index_tuples(n: int, order: int) -> Iterator[IndexTuple]:
@@ -40,34 +44,66 @@ def index_tuples(n: int, order: int) -> Iterator[IndexTuple]:
     yield from rec(n, 1, order)
 
 
+def as_polynomial(total: int, vec: Vector, divisor: int = 1) -> LaurentPolynomial:
+    """(s^total / divisor) * sum_j vec[j] u^{d-j} v^j, with d = len(vec) - 1."""
+    d = len(vec) - 1
+    return LaurentPolynomial(("s", "u", "v"), {(total, d - j, j): Fraction(c, divisor) for j, c in enumerate(vec)})
+
+
+def as_vector(total: int, degree: int, poly: LaurentPolynomial) -> Vector:
+    """The checked inverse of ``as_polynomial``: poly must be s^total times an
+    integer polynomial in (u, v) alone, homogeneous of the given degree."""
+    vec = [0] * max(degree + 1, 0)
+    for exps, c in poly.terms():
+        e = dict(zip(poly.alphabet, exps))
+        s, u, v = e.pop("s", 0), e.pop("u", 0), e.pop("v", 0)
+        if any(e.values()) or s != total or min(u, v) < 0 or u + v != degree or getattr(c, "denominator", 0) != 1:
+            raise ValueError(f"expected s^{total} times an integer polynomial in u, v of degree {degree}, got {poly}")
+        vec[v] = int(c)
+    return tuple(vec)
+
+
 @dataclass
 class NPointSeries:
     genus: int
     n: int
     order: int
-    coefficients: Dict[IndexTuple, LaurentPolynomial] = field(default_factory=dict)
+    coefficients: Dict[IndexTuple, Vector] = field(default_factory=dict)
 
-    def _cost(self, indices: IndexTuple) -> int:
-        return sum(a + 1 for a in indices)
+    def __post_init__(self) -> None:
+        if self.order < 2 * self.n:
+            raise ValueError(f"order {self.order} cannot hold any {self.n}-point tuple (need >= {2 * self.n})")
 
-    def set_coefficient(self, indices, value: LaurentPolynomial) -> None:
+    def degree(self, indices) -> int:
+        """d = |A| - n + 2 - 2g, the (u,v)-degree of the coefficient at A."""
+        return sum(indices) - self.n + 2 - 2 * self.genus
+
+    def set_coefficient(self, indices, vec: Vector) -> None:
         key = tuple(sorted(indices))
         if len(key) != self.n:
             raise ValueError(f"expected {self.n} indices, got {indices!r}")
-        if not value.is_zero():
-            self.coefficients[key] = value
+        d = self.degree(key)
+        if len(vec) != max(d + 1, 0) or any(type(c) is not int for c in vec):
+            raise ValueError(f"{key} has degree {d}, so needs {max(d + 1, 0)} ints, got {vec!r}")
+        if any(vec):
+            self.coefficients[key] = tuple(vec)
         else:
             self.coefficients.pop(key, None)
 
-    def coefficient(self, indices) -> LaurentPolynomial:
+    def set_polynomial(self, indices, poly: LaurentPolynomial) -> None:
+        """set_coefficient for a polynomial, through the checked inverse."""
+        self.set_coefficient(indices, as_vector(sum(indices), self.degree(indices), poly))
+
+    def vector(self, indices) -> Vector:
         key = tuple(sorted(indices))
         if len(key) != self.n or any(a < 1 for a in key):
             raise ValueError(f"bad index tuple {indices!r}")
-        if self._cost(key) > self.order:
-            raise SeriesWindowError(
-                f"tuple {key} costs {self._cost(key)} but series order is {self.order}"
-            )
-        return self.coefficients.get(key, LaurentPolynomial.zero())
+        if sum(key) + self.n > self.order:
+            raise SeriesWindowError(f"tuple {key} costs {sum(key) + self.n} but series order is {self.order}")
+        return self.coefficients.get(key) or (0,) * max(self.degree(key) + 1, 0)
+
+    def coefficient(self, indices) -> LaurentPolynomial:
+        return as_polynomial(sum(indices), self.vector(indices))
 
     def keys(self) -> List[IndexTuple]:
         return sorted(self.coefficients)
@@ -79,9 +115,8 @@ class NPointSeries:
             raise ValueError("cannot compare expansions with different slot counts")
         order = min(self.order, other.order)
         for key in index_tuples(self.n, order):
-            a, b = self.coefficient(key), other.coefficient(key)
-            if a != b:
-                return key, a, b
+            if self.coefficients.get(key) != other.coefficients.get(key):
+                return key, self.coefficient(key), other.coefficient(key)
         return None
 
     def to_json(self, alphabet=("s", "u", "v")) -> dict:
@@ -91,7 +126,7 @@ class NPointSeries:
             "order": self.order,
             "alphabet": list(alphabet),
             "coefficients": [
-                {"indices": list(k), "poly": self.coefficients[k].to_json(alphabet)}
+                {"indices": list(k), "poly": self.coefficient(k).to_json(alphabet)}
                 for k in self.keys()
             ],
         }
@@ -100,5 +135,5 @@ class NPointSeries:
     def from_json(cls, obj) -> "NPointSeries":
         out = cls(obj["genus"], obj["n"], obj["order"])
         for entry in obj["coefficients"]:
-            out.set_coefficient(tuple(entry["indices"]), LaurentPolynomial.from_json(entry["poly"]))
+            out.set_polynomial(entry["indices"], LaurentPolynomial.from_json(entry["poly"]))
         return out

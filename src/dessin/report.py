@@ -51,6 +51,8 @@ def run_comparisons(suite: str, parameters: dict, comparisons: Iterable[Tuple[ob
                 "expected": str(expected),
                 "actual": str(actual),
             }
+    if not checked:
+        raise ValueError(f"{suite} has nothing to check at {parameters}")
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(
         suite=suite,

@@ -37,13 +37,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import closedforms
 from .laurent import LaurentPolynomial
-from .npoint import NPointSeries, index_tuples
+from .npoint import NPointSeries, Vector, as_polynomial, as_vector, index_tuples
 from .report import VerificationReport, run_comparisons
 
-S = LaurentPolynomial.variable("s")
-
 CACHE_VERSION = 2
-Vector = Tuple[int, ...]  # W_g(A) / s^{|A|}: entry j is the coefficient of u^{d-j} v^j
 
 
 class CacheFormatError(ValueError):
@@ -167,12 +164,6 @@ def convolve(p: Sequence[int], q: Sequence[int]) -> Vector:
     return tuple(out)
 
 
-def _as_polynomial(key: PartitionKey, vec: Vector, divisor: int) -> LaurentPolynomial:
-    """(s^{|A|} / divisor) * sum_j vec[j] u^{d-j} v^j."""
-    total, d = sum(key.parts), key.degree
-    return LaurentPolynomial(("s", "u", "v"), {(total, d - j, j): Fraction(c, divisor) for j, c in enumerate(vec)})
-
-
 class VirasoroEngine:
     """Correlator computations driven by one memo table (single writer)."""
 
@@ -187,11 +178,11 @@ class VirasoroEngine:
 
     def raw_correlator(self, g: int, parts: Iterable[int]) -> LaurentPolynomial:
         key = PartitionKey.make(g, parts)
-        return _as_polynomial(key, self._w(key), prod(key.parts))
+        return as_polynomial(sum(key.parts), self._w(key), prod(key.parts))
 
     def weighted_correlator(self, g: int, parts: Iterable[int]) -> LaurentPolynomial:
         key = PartitionKey.make(g, parts)
-        return _as_polynomial(key, self._w(key), 1)
+        return as_polynomial(sum(key.parts), self._w(key))
 
     def _w(self, key: PartitionKey) -> Vector:
         d = key.degree
@@ -236,11 +227,9 @@ class VirasoroEngine:
     # -- assembled series ----------------------------------------------------
 
     def npoint_series(self, g: int, n: int, order: int) -> NPointSeries:
-        if order < 2 * n:
-            raise ValueError(f"order {order} cannot hold any {n}-point tuple (need >= {2 * n})")
         out = NPointSeries(g, n, order)
         for key in index_tuples(n, order):
-            out.set_coefficient(key, self.weighted_correlator(g, key))
+            out.set_coefficient(key, self._w(PartitionKey.make(g, key)))
         return out
 
     def one_point_all_genus(self, n: int) -> LaurentPolynomial:
@@ -285,23 +274,23 @@ class VirasoroEngine:
         """
         if 2 * g - 2 + (n + 1) <= 0:
             raise ValueError(f"target ({g},{n + 1}) is unstable")
-        if order < 2 * (n + 1):
-            raise ValueError(
-                f"order {order} is too small to invert the denominator for {n + 1} slots (need >= {2 * (n + 1)})"
-            )
         return self._op_form(g, n + 1, order)
 
-    def _series_input(self, g: int, n: int, order: int) -> NPointSeries:
+    def _series_input(self, g: int, n: int, order: int) -> Optional[NPointSeries]:
         """An ingredient G_{g,n} for the assembly: the closed two-point form
-        for (0,2), recursively assembled otherwise."""
+        for (0,2), recursively assembled otherwise; None when the order holds
+        no n-point tuple, so that nothing would be read from it."""
+        if order < 2 * n:
+            return None
         if (g, n) == (0, 2):
-            return closedforms.dessin_closed_series("G02", max(order, 4))
+            return closedforms.dessin_closed_series("G02", order)
         return self._op_form(g, n, order)
 
     def _op_form(self, g: int, np1: int, order: int) -> NPointSeries:
         memo_key = (g, np1, order)
         if memo_key in self._op_forms:
             return self._op_forms[memo_key]
+        out = NPointSeries(g, np1, order)
         n = np1 - 1
 
         d_src = self._series_input(g, n, order - 2) if n >= 1 else None
@@ -313,55 +302,52 @@ class VirasoroEngine:
                 n1, n2 = len(left) + 1, len(right) + 1
                 if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
                     continue
-                factor_pairs.append(
-                    (left, right, self._series_input(g1, n1, order - 2), self._series_input(g2, n2, order - 2))
-                )
+                fac1, fac2 = self._series_input(g1, n1, order - 2), self._series_input(g2, n2, order - 2)
+                if fac1 is not None and fac2 is not None:
+                    factor_pairs.append((left, right, fac1, fac2))
 
-        pre_memo: Dict[Tuple[int, Tuple[int, ...]], LaurentPolynomial] = {}
+        pre_memo: Dict[Tuple[int, Tuple[int, ...]], Vector] = {}
 
-        def pre(m: int, rest: Tuple[int, ...]) -> LaurentPolynomial:
+        def pre(m: int, rest: Tuple[int, ...]) -> Vector:
             """The bracket coefficient at x0^{-m-1} prod x_i^{-r_i-1} before the
-            s / sqrt(Delta(x0)) renormalization."""
+            s / sqrt(Delta(x0)) renormalization: s^{m+|rest|-1} times this vector."""
             key = (m, rest)
             if key in pre_memo:
                 return pre_memo[key]
-            acc = LaurentPolynomial.zero()
+            acc = [0] * max(out.degree((m,) + rest) + 1, 0)
             # one-variable operator acting on each existing slot
             if d_src is not None:
                 for j, r in enumerate(rest):
-                    shifted = rest[:j] + (r + m - 1,) + rest[j + 1 :]
-                    acc = acc + r * d_src.coefficient(shifted)
+                    _add(acc, d_src.vector(rest[:j] + (r + m - 1,) + rest[j + 1 :]), r)
             # diagonal of the genus-lowered series at the new slot
-            if e_src is not None and m >= 3:
+            if e_src is not None:
                 for alpha in range(1, m - 1):
-                    acc = acc + e_src.coefficient(tuple(sorted((alpha, m - 1 - alpha) + rest)))
+                    _add(acc, e_src.vector((alpha, m - 1 - alpha) + rest))
             # stable factor pairs
-            if m >= 3:
-                for left, right, fac1, fac2 in factor_pairs:
-                    vals_left = tuple(rest[i] for i in left)
-                    vals_right = tuple(rest[i] for i in right)
-                    cost_left = sum(a + 1 for a in vals_left)
-                    cost_right = sum(a + 1 for a in vals_right)
-                    for alpha in range(1, m - 1):
-                        beta = m - 1 - alpha
-                        if alpha + 1 + cost_left > fac1.order or beta + 1 + cost_right > fac2.order:
-                            continue
-                        c1 = fac1.coefficient((alpha,) + vals_left)
-                        if c1.is_zero():
-                            continue
-                        acc = acc + c1 * fac2.coefficient((beta,) + vals_right)
-            pre_memo[key] = acc
-            return acc
+            for left, right, fac1, fac2 in factor_pairs:
+                vals_left = tuple(rest[i] for i in left)
+                vals_right = tuple(rest[i] for i in right)
+                cost_left = sum(a + 1 for a in vals_left)
+                cost_right = sum(a + 1 for a in vals_right)
+                for alpha in range(1, m - 1):
+                    beta = m - 1 - alpha
+                    if alpha + 1 + cost_left > fac1.order or beta + 1 + cost_right > fac2.order:
+                        continue
+                    c1 = fac1.vector((alpha,) + vals_left)
+                    if any(c1):
+                        _add(acc, convolve(c1, fac2.vector((beta,) + vals_right)))
+            pre_memo[key] = value = tuple(acc)
+            return value
 
         # multiply by s / sqrt(Delta(x0)), reading the new slot off key[0]
         inv = closedforms.inv_sqrt_delta_series("t0", order)
-        out = NPointSeries(g, np1, order)
+        inv_rows = [as_vector(k, k, inv.coefficient(k)) for k in range(order)]
         for key in index_tuples(np1, order):
             m0, rest = key[0], key[1:]
-            acc = LaurentPolynomial.zero()
+            acc = [0] * max(out.degree(key) + 1, 0)
             for k in range(0, m0):
-                acc = acc + pre(m0 - k, rest) * inv.coefficient(k)
-            out.set_coefficient(key, S * acc)
+                _add(acc, convolve(pre(m0 - k, rest), inv_rows[k]))
+            out.set_coefficient(key, tuple(acc))
         self._op_forms[memo_key] = out
         return out
 

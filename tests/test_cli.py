@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,14 +136,42 @@ def test_explicit_order_zero_is_not_replaced(capsys):
     ("narayana-law", "0", "n_max >= 1"),
     ("t-rows", "-1", "n_max >= 0"),
     ("main-theorem", "5", "cannot hold any 3-point tuple"),
+    ("closed-form --which G01", "1", "cannot hold any 1-point tuple (need >= 2)"),
+    ("closed-form --which G03", "1", "cannot hold any 3-point tuple (need >= 6)"),
+    ("closed-form --which G11", "1", "cannot hold any 1-point tuple (need >= 2)"),
+    ("catalog --name dessin/two", "2", "cannot hold any 2-point tuple (need >= 4)"),
+    ("catalog --name dessin/two", "3", "cannot hold any 2-point tuple (need >= 4)"),
+    ("catalog --name dessin/one-genus-one", "2", "nothing to check"),
+    ("catalog --name dessin/one-genus-one", "3", "nothing to check"),
+    ("catalog --name wk/two", "-1", "order >= 1"),
+    ("catalog --name wk/one", "0", "order >= 1"),
+    ("catalog --name hermitian/one", "0", "order >= 1"),
+    ("catalog --name even-coupling/one", "0", "order >= 1"),
+    ("curve-identity", "-1", "order >= 2"),
+    ("curve-identity", "1", "order >= 2"),
+    ("expand --which G02", "3", "cannot hold any 2-point tuple (need >= 4)"),
+    ("expand --which G03", "2", "cannot hold any 3-point tuple (need >= 6)"),
+    ("expand --which G03", "5", "cannot hold any 3-point tuple (need >= 6)"),
 ])
 def test_orders_with_nothing_to_check_exit_two(suite, order, message, tmp_path, capsys):
     """An order that leaves a suite nothing (or only fixtures) to check is a
-    usage error, not a vacuous pass."""
-    extra = ("--g", "0", "--n", "3") if suite == "main-theorem" else ()
-    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--order", order, *extra, "--cache", str(tmp_path))
+    usage error, not a vacuous pass; so is one that leaves an expansion empty."""
+    name, *extra = suite.split()
+    if name == "main-theorem":
+        extra = ["--g", "0", "--n", "3"]
+    if name == "expand":
+        code, out, err = run_cli(capsys, name, *extra, "--order", order)
+    else:
+        code, out, err = run_cli(capsys, "verify", "--suite", name, "--order", order, *extra, "--cache", str(tmp_path))
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_verify_all_seedless_matches_the_golden_file(capsys):
+    """verify --all --seedless is byte-identical to the committed output."""
+    code, out, _ = run_cli(capsys, "verify", "--all", "--seedless")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "verify_all_seedless.json").read_text(encoding="utf-8")
 
 
 def test_eo_json_schema(capsys):

@@ -283,14 +283,17 @@ def test_residue_contraction_matches_series_residues(dual):
 
 def test_x_picture_edge_rejects_odd_powers_and_non_integers():
     """The contraction ends in a polynomial in u = a^2, v = b^2 with integer
-    coefficients; a doctored w_{0,3} that breaks either is a hard error."""
+    coefficients, homogeneous of the tuple's degree; a doctored w_{0,3} that
+    breaks any of these is a hard error."""
     U, V = LaurentPolynomial.variable("u"), LaurentPolynomial.variable("v")
     engine = EOEngine()
     terms, shift = engine._dyadic(0, 3)
     assert engine.to_x_series(0, 3, 6).coefficient((1, 1, 1)) == 2 * S ** 3 * U * V
     odd = dict(terms)
     odd[(0, -2, 0, 0, 0)] = odd.get((0, -2, 0, 0, 0), 0) + (1 << shift)  # (2ab)^3 b^-2: integral, odd powers
-    for doctored in ((odd, shift), (terms, shift + 2)):  # s^3 u v / 2 is not integral
+    # times u^4 / v^4: even, integral, of the right total degree, but with a negative power of v
+    shifted = {(exps[0] + 8, exps[1] - 8) + exps[2:]: c for exps, c in terms.items()}
+    for doctored in ((odd, shift), (terms, shift + 2), (shifted, shift)):  # s^3 u v / 2 is not integral
         engine._dyadics[(0, 3)] = doctored
         with pytest.raises(EOInvariantError):
             engine.to_x_series(0, 3, 6)

@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from dessin.laurent import LaurentPolynomial
-from dessin.npoint import NPointSeries, index_tuples
+from dessin.npoint import NPointSeries, as_polynomial, index_tuples
 from dessin.series import SeriesWindowError
 
+S = LaurentPolynomial.variable("s")
 U = LaurentPolynomial.variable("u")
+V = LaurentPolynomial.variable("v")
+A = LaurentPolynomial.variable("a")
 
 
 def test_index_tuples_enumeration():
@@ -19,9 +24,10 @@ def test_index_tuples_enumeration():
 
 def test_symmetric_storage_and_lookup():
     series = NPointSeries(0, 2, 8)
-    series.set_coefficient((3, 1), U)
-    assert series.coefficient((1, 3)) == U
-    assert series.coefficient((3, 1)) == U
+    series.set_coefficient((3, 1), (1, 0, 0, 0, 0))  # degree 4 at |A| = 4
+    assert series.coefficient((1, 3)) == S ** 4 * U ** 4
+    assert series.coefficient((3, 1)) == S ** 4 * U ** 4
+    assert series.vector((3, 1)) == (1, 0, 0, 0, 0)
     assert (1, 3) in series.keys()
 
 
@@ -38,17 +44,51 @@ def test_window_and_validation():
 def test_first_difference_orders_align():
     a = NPointSeries(0, 1, 8)
     b = NPointSeries(0, 1, 6)
-    a.set_coefficient((6,), U)  # beyond b's window: not compared
+    a.set_coefficient((6,), (0,) * 7 + (1,))  # beyond b's window: not compared
     assert a.first_difference(b) is None
-    b.set_coefficient((2,), U)
-    assert a.first_difference(b) == ((2,), LaurentPolynomial.zero(), U)
+    b.set_coefficient((2,), (0, 1, 0, 0))
+    assert a.first_difference(b) == ((2,), LaurentPolynomial.zero(), S ** 2 * U ** 2 * V)
 
 
 def test_json_round_trip():
     series = NPointSeries(1, 2, 9)
-    series.set_coefficient((1, 2), U ** 2)
+    series.set_coefficient((1, 2), (1, 0))  # s^3 u: degree 1 at genus one
     blob = series.to_json()
     assert blob["alphabet"] == ["s", "u", "v"]
     back = NPointSeries.from_json(blob)
     assert back.first_difference(series) is None
     assert (back.genus, back.n, back.order) == (1, 2, 9)
+
+
+def test_too_small_an_order_is_rejected_when_built():
+    with pytest.raises(ValueError, match=r"cannot hold any 3-point tuple \(need >= 6\)"):
+        NPointSeries(0, 3, 5)
+
+
+def test_set_coefficient_rejects_ungraded_vectors():
+    series = NPointSeries(0, 2, 8)
+    series.set_coefficient((1, 2), (0, 1, 1, 0))  # degree 3 at (1, 2)
+    for bad in [(1, 0, 0), (1, 0, 0, 0, 0), (0, 1.0, 1, 0), (0, True, 1, 0)]:
+        with pytest.raises(ValueError, match="has degree 3"):
+            series.set_coefficient((2, 1), bad)
+    assert series.vector((1, 2)) == (0, 1, 1, 0)
+    assert series.vector((1, 1)) == (0, 0, 0)  # nothing stored: zeros of the graded length
+
+
+def test_from_json_rejects_what_no_graded_vector_holds():
+    series = NPointSeries(0, 2, 8)
+    series.set_coefficient((1, 2), (0, 1, 1, 0))
+    good = series.to_json()
+    assert NPointSeries.from_json(good).first_difference(series) is None
+    for poly in [S ** 4 * U ** 2 * V, (S ** 3 * U ** 2 * V) / 2, S ** 3 * U ** 4 / V, S ** 3 * U ** 2 * V * A, S ** 3 * U ** 2]:
+        blob = dict(good, coefficients=[{"indices": [1, 2], "poly": poly.to_json()}])
+        with pytest.raises(ValueError, match="expected"):
+            NPointSeries.from_json(blob)
+
+
+def test_polynomial_and_vector_are_inverse():
+    assert as_polynomial(3, (0, 2, 1, 0)) == 2 * S ** 3 * U ** 2 * V + S ** 3 * U * V ** 2
+    assert as_polynomial(2, (3,), 4) == LaurentPolynomial.monomial(Fraction(3, 4), {"s": 2})
+    series = NPointSeries(0, 2, 8)
+    series.set_polynomial((2, 1), 2 * S ** 3 * U ** 2 * V + S ** 3 * U * V ** 2)
+    assert series.vector((1, 2)) == (0, 2, 1, 0)

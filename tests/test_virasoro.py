@@ -226,6 +226,22 @@ def test_operator_form_matches_direct_recursion(vir, g, n):
     assert report.passed, report.first_discrepancy
 
 
+@pytest.mark.parametrize("g,n,order", [(2, 0, 12), (2, 1, 10)])
+def test_operator_form_deep(vir, g, n, order):
+    """Targets (2,1) at order 12 and (2,2) at order 10."""
+    report = vir.operator_form_report(g, n, order)
+    assert report.passed, report.first_discrepancy
+
+
+def test_operator_form_at_the_smallest_orders(vir):
+    """At orders 2(n+1) and 2(n+1)+1 some inputs hold no tuple; nothing is read
+    from them, so the assembly still matches the recursion."""
+    for g, n in [(1, 1), (2, 1), (1, 2)]:
+        for order in (2 * n + 2, 2 * n + 3):
+            report = vir.operator_form_report(g, n, order)
+            assert report.passed and report.checked_count >= 1, (g, n, order)
+
+
 def test_operator_form_leading_coefficient(vir):
     assembled = vir.assemble_operator_form(1, 0, 8)
     assert assembled.coefficient((3,)) == U * V * S ** 3
