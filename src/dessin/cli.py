@@ -30,8 +30,6 @@ from .virasoro import CacheFormatError, CorrelatorTable, VirasoroEngine
 
 CACHE_FILE = "correlators.json"
 
-CLOSED_FORM_TARGETS = {"G01": (0, 1), "G02": (0, 2), "G03": (0, 3), "G11": (1, 1)}
-
 
 # -- cache plumbing ------------------------------------------------------------
 
@@ -83,9 +81,9 @@ def suite_narayana_law(vir: VirasoroEngine, n_max: int) -> VerificationReport:
 
 def suite_closed_form(vir: VirasoroEngine, which: str, order: int) -> VerificationReport:
     which = which.upper()
-    if which not in CLOSED_FORM_TARGETS:
-        raise KeyError(f"unknown closed form {which!r}; expected one of {', '.join(CLOSED_FORM_TARGETS)}")
-    g, n = CLOSED_FORM_TARGETS[which]
+    if which not in closedforms.CLOSED_FORM_TARGETS:
+        raise KeyError(f"unknown closed form {which!r}; expected one of {', '.join(closedforms.CLOSED_FORM_TARGETS)}")
+    g, n = closedforms.CLOSED_FORM_TARGETS[which]
 
     def comparisons():
         closed = closedforms.dessin_closed_series(which, order)
@@ -155,8 +153,12 @@ def acceptance_matrix() -> List[Tuple[str, int, SuiteRunner]]:
 
 def suite_all(order_budget: int):
     """Run every suite whose required order fits the budget; others are skipped."""
+    matrix = acceptance_matrix()
+    smallest = min(required for _, required, _ in matrix)
+    if order_budget < smallest:
+        raise ValueError(f"order budget {order_budget} runs no suite; the smallest required order is {smallest}")
     results = []
-    for name, required, runner in acceptance_matrix():
+    for name, required, runner in matrix:
         if required > order_budget:
             results.append((name, "skipped", []))
             continue
@@ -292,7 +294,7 @@ def cmd_verify(args) -> int:
             "identities": closedforms.identity_names(),
             "catalog": closedforms.catalog_names(),
             "local": airy.local_identity_names(),
-            "closed-forms": sorted(CLOSED_FORM_TARGETS),
+            "closed-forms": sorted(closedforms.CLOSED_FORM_TARGETS),
         }
         emit(names, args.format, lambda p: "\n".join(f"{k}: {', '.join(v)}" for k, v in names.items()))
         return 0

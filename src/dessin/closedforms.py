@@ -12,15 +12,19 @@ The x^{-n-1} coefficient of G_{0,1} is s^n u v times the n-th Narayana
 polynomial row, which is what ties dessin counting to Narayana numbers;
 setting u = v = 1 collapses each row to a Catalan number.
 
+Each dessin form is a small numerator times Delta^{-m/2}, m = -1, 1, 3 or
+5, so all four are read off the integer rows of one recurrence,
+``delta_power_rows``, straight into ``NPointSeries`` vectors.  A row or a
+value that is not integral is an internal fault.
+
 The catalog also carries the genus-zero one- and two-point functions of
 three neighbouring enumeration theories (psi-class intersections on the
 moduli of curves in the variable g0, Hermitian one-matrix moments in the
 't Hooft variable t, and the even-coupling variant), each with its exact
 coefficient law, plus the type B/C and type D Narayana generating series.
-
-Every check expands the closed form with exact series arithmetic and
-compares coefficient by coefficient against the stated law, reporting the
-first discrepancy instead of raising.
+These, and the generating-function identities, are expanded with exact
+series arithmetic.  Every check compares coefficient by coefficient
+against the stated law, reporting the first discrepancy instead of raising.
 
 Double-pole subtractions such as 1/(x1-x2)^2 are handled by expanding in
 the asymmetric region |x2| < |x1| (a geometric series in x2/x1) and
@@ -31,11 +35,12 @@ exponent window; the spurious boundary exponents must cancel exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .laurent import LaurentPolynomial, mul_trunc, unit_pow_trunc
-from .npoint import NPointSeries
+from .npoint import NPointSeries, Vector, _add, convolve, index_tuples
 from .report import VerificationReport, run_comparisons
 from .series import TruncatedSeries
 
@@ -96,30 +101,39 @@ def odd_double_factorial(n: int) -> int:
 
 # -- dessin closed forms -----------------------------------------------------
 
-
-DELTA = {0: 1, 1: -2 * S * (U + V), 2: S * S * (U - V) ** 2}  # Delta's coefficients in t = 1/x
+CLOSED_FORM_TARGETS = {"G01": (0, 1), "G02": (0, 2), "G03": (0, 3), "G11": (1, 1)}  # (g, n) of each form
+UV_SUM, UV_GAP = (1, 1), (1, -2, 1)  # u + v and (u - v)^2 as graded vectors
 
 
 def delta_series(var: str, order: int) -> TruncatedSeries:
     """Delta as a series in t = 1/x."""
-    return TruncatedSeries.from_map(var, DELTA, order)
-
-
-def sqrt_delta_series(var: str, order: int) -> TruncatedSeries:
-    return delta_series(var, order).sqrt()
+    return TruncatedSeries.from_map(var, {0: 1, 1: -2 * S * (U + V), 2: S * S * (U - V) ** 2}, order)
 
 
 def inv_sqrt_delta_series(var: str, order: int) -> TruncatedSeries:
-    return sqrt_delta_series(var, order).invert()
+    return delta_series(var, order).sqrt().invert()
 
 
-def g01_series(order: int) -> TruncatedSeries:
-    """G_{0,1} in t = 1/x; the t^{n+1} coefficient is the weighted one-point value."""
-    t = "t"
-    lin = TruncatedSeries.from_map(t, {0: 1, 1: -S * (U + V)}, order)
-    num = lin - sqrt_delta_series(t, order)
-    half_inv_s = LaurentPolynomial.monomial(Fraction(1, 2), {"s": -1})
-    return num * half_inv_s
+def _exact(vec: Sequence[int], k: int, what: str) -> Vector:
+    """vec / k, which must divide exactly: a remainder is an internal fault."""
+    if any(c % k for c in vec):
+        raise AssertionError(f"{what} is not integral: {tuple(vec)} / {k}")
+    return tuple(c // k for c in vec)
+
+
+def delta_power_rows(m: int, count: int) -> List[Vector]:
+    """Rows 0..count-1 of Delta^(-m/2), m odd: row k is the graded vector of
+    the t^k coefficient over s^k, t = 1/x.  Delta f' = -(m/2) Delta' f gives
+    f_0 = 1, f_1 = m (u+v) and
+
+        k f_k = (m+2k-2)(u+v) f_{k-1} - (m+k-2)(u-v)^2 f_{k-2}.
+    """
+    rows = [(1,), (m, m)][:count]
+    for k in range(2, count):
+        lin, quad = convolve(UV_SUM, rows[k - 1]), convolve(UV_GAP, rows[k - 2])
+        num = [(m + 2 * k - 2) * x - (m + k - 2) * y for x, y in zip(lin, quad)]
+        rows.append(_exact(num, k, f"row {k} of Delta^({-m}/2)"))
+    return rows
 
 
 def narayana_one_point_law(n: int) -> LaurentPolynomial:
@@ -165,78 +179,62 @@ def _half_double_pole(num: LaurentPolynomial, f: Dict[int, object], names: Tuple
     return {k: Fraction(1, 2) * v for k, v in table.items()}
 
 
-def _dessin_g02_table(order: int) -> Dict[Tuple[int, int], LaurentPolynomial]:
-    T1, T2 = LaurentPolynomial.variable("t1"), LaurentPolynomial.variable("t2")
-    suv = S * (U + V)
-    num = 1 - suv * T1 - suv * T2 + DELTA[2] * T1 * T2
-    table = _half_double_pole(num, DELTA, ("t1", "t2"), order - 2, order)
-    for (e1, e2), val in table.items():
-        if e2 < 2 and not val.is_zero():
-            raise AssertionError(f"double-pole subtraction left residue at exponents ({e1},{e2}): {val}")
-    return {k: v for k, v in table.items() if k[1] >= 2 and not v.is_zero()}
-
-
 def dessin_closed_series(which: str, order: int) -> NPointSeries:
-    """Expand one of the dessin closed forms: G01, G02, G03 or G11."""
+    """Expand one of the dessin closed forms G01, G02, G03 or G11 from the rows of Delta."""
     which = which.upper()
+    if which not in CLOSED_FORM_TARGETS:
+        raise ValueError(f"unknown closed form {which!r}; expected one of {', '.join(CLOSED_FORM_TARGETS)}")
+    out = NPointSeries(*CLOSED_FORM_TARGETS[which], order)
     if which == "G01":
-        out = NPointSeries(0, 1, order)
-        g = g01_series(order)
+        # (1 - s(u+v) t - sqrt(Delta)) / (2s): the t^{a+1} coefficient is -1/2 row a+1
+        rows = delta_power_rows(-1, order + 1)
         for a in range(1, order):
-            out.set_polynomial((a,), g.coefficient(a + 1))
+            out.set_coefficient((a,), _exact([-c for c in rows[a + 1]], 2, f"G01 at {a}"))
         return out
 
     if which == "G02":
-        out = NPointSeries(0, 2, order)
-        table = _dessin_g02_table(order)
-        for (e1, e2), val in table.items():
-            if (e1, e2) != tuple(sorted((e1, e2))):
-                continue
-            sym = table.get((e2, e1), LaurentPolynomial.zero())
-            if sym != val:
-                raise AssertionError(f"asymmetric two-point expansion at ({e1},{e2})")
-            out.set_polynomial((e1 - 1, e2 - 1), val)
+        # (num R(t1) R(t2) - 1) / 2 times the double pole sum_k (k+1) t1^{k+2} t2^{-k}, with
+        # num = 1 - s(u+v)(t1 + t2) + s^2 (u-v)^2 t1 t2 and R = Delta^(-1/2)
+        R = [()] + delta_power_rows(1, order - 1)  # R[i + 1] is row i; row -1 is zero
+        table = {}  # twice the t1^e1 t2^e2 coefficient, over s^{e1+e2-2}
+        for n in range(order - 1):
+            # on e1 + e2 = n + 2, first sums M(i, n-i) = [t1^i t2^{n-i}](num R R - 1) over
+            # i <= e1 - 2, and second sums first: M(e1-2-k, e2+k) is counted k+1 times
+            first, second = [-int(n == 0)] + [0] * n, [0] * (n + 1)  # M(0, 0) carries the -1
+            for i in range(n + 1):
+                j = n - i
+                _add(first, convolve(R[i + 1], R[j + 1]))
+                _add(first, convolve(UV_SUM, convolve(R[i], R[j + 1])), -1)
+                _add(first, convolve(UV_SUM, convolve(R[i + 1], R[j])), -1)
+                _add(first, convolve(UV_GAP, convolve(R[i], R[j])))
+                _add(second, first)
+                if j < 2 and any(second):
+                    raise AssertionError(f"double-pole subtraction left residue at exponents ({i + 2},{j}): {second}")
+                table[i + 2, j] = tuple(second)
+        for a, b in index_tuples(2, order):
+            if table[a + 1, b + 1] != table[b + 1, a + 1]:
+                raise AssertionError(f"asymmetric two-point expansion at ({a + 1},{b + 1})")
+            out.set_coefficient((a, b), _exact(table[a + 1, b + 1], 2, f"G02 at ({a + 1},{b + 1})"))
         return out
 
     if which == "G03":
-        out = NPointSeries(0, 3, order)
-        tvars = ("t1", "t2", "t3")
-        tpoly = [LaurentPolynomial.variable(n) for n in tvars]
-        sd2 = S * S * (U - V) ** 2
-        num = (
-            1
-            - sd2 * (tpoly[0] * tpoly[1] + tpoly[1] * tpoly[2] + tpoly[2] * tpoly[0])
-            + 2 * (U + V) * sd2 * S * tpoly[0] * tpoly[1] * tpoly[2]
-        )
-        acc = 2 * S ** 3 * U * V * num
-        factor = delta_series("t", order).unit_pow(Fraction(-3, 2)).shift(2).as_polynomial()
-        for tvar in tpoly:
-            acc = mul_trunc(acc, factor.substitute({"t": tvar}), tvars, order)
-        seen = {}
-        for e1 in acc.exponent_range(tvars[0]):
-            p1 = acc.coefficient_of(tvars[0], e1)
-            for e2 in p1.exponent_range(tvars[1]):
-                p2 = p1.coefficient_of(tvars[1], e2)
-                for e3 in p2.exponent_range(tvars[2]):
-                    c = p2.coefficient_of(tvars[2], e3)
-                    if c.is_zero():
-                        continue
-                    key = tuple(sorted((e1 - 1, e2 - 1, e3 - 1)))
-                    if key in seen and seen[key] != c:
-                        raise AssertionError(f"asymmetric three-point expansion at {key}")
-                    seen[key] = c
-        for key, c in seen.items():
-            out.set_polynomial(key, c)
+        # 2 s^3 u v (1 - s^2 (u-v)^2 sum t_i t_j + 2 s^3 (u+v)(u-v)^2 t1 t2 t3)
+        # times prod t_i^2 P(t_i), P = Delta^(-3/2); one value per sorted tuple
+        P = [()] + delta_power_rows(3, order)  # P[i + 1] is row i; row -1 is zero
+        for key in index_tuples(3, order):
+            hi, lo = [P[a] for a in key], [P[a - 1] for a in key]
+            acc = list(reduce(convolve, hi))
+            for i in range(3):
+                _add(acc, convolve(UV_GAP, convolve(hi[i], convolve(*lo[:i], *lo[i + 1:]))), -1)
+            _add(acc, convolve(UV_SUM, convolve(UV_GAP, reduce(convolve, lo))), 2)
+            out.set_coefficient(key, (0,) + tuple(2 * c for c in acc) + (0,))
         return out
 
-    if which == "G11":
-        out = NPointSeries(1, 1, order)
-        g = delta_series("t", order).unit_pow(Fraction(-5, 2)).shift(4) * (U * V * S ** 3)
-        for a in range(3, order):
-            out.set_polynomial((a,), g.coefficient(a + 1))
-        return out
-
-    raise ValueError(f"unknown closed form {which!r}; expected one of G01, G02, G03, G11")
+    # G11 = u v s^3 t^4 Delta^(-5/2): the t^{a+1} coefficient is u v times row a-3
+    rows = delta_power_rows(5, order)
+    for a in range(3, order):
+        out.set_coefficient((a,), (0,) + rows[a - 3] + (0,))
+    return out
 
 
 # -- generating-function identities ------------------------------------------

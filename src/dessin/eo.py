@@ -60,10 +60,10 @@ from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import LaurentPolynomial
-from .npoint import NPointSeries, Vector, index_tuples
+from .npoint import NPointSeries, Vector, convolve, index_tuples
 from .report import VerificationReport, run_comparisons
 from .series import TruncatedSeries
-from .virasoro import VirasoroEngine, convolve
+from .virasoro import VirasoroEngine
 
 A = LaurentPolynomial.variable("a")
 B = LaurentPolynomial.variable("b")
@@ -340,6 +340,7 @@ class EOEngine:
         key = (g, n)
         if key in self._forms:
             return self._forms[key]
+        alphabet = ("a", "b") + slot_names(n)  # rejects n > 9 before any recursion
 
         # integrands are laid out (e_a, e_b, e_z, e_z2 .. e_zn); the residue
         # puts z1 where the residue variable z was
@@ -379,7 +380,6 @@ class EOEngine:
             total.add(*self._residues(self._dyadic(g, n - 1), BERGMAN_PAIR, range(n - 1)), sign=-1)
 
         self._dyadics[key] = terms, shift = total.result()
-        alphabet = ("a", "b") + slot_names(n)
         form = EOForm(g, n, LaurentPolynomial(
             alphabet, {exps: Fraction(c, 1 << shift) for exps, c in terms.items()}))
         form.check_invariants()

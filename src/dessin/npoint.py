@@ -11,21 +11,38 @@ is the coefficient of u^{d-j} v^j.  All four routes (the Virasoro
 recursion, the operator-form assembly, the closed forms and the
 topological recursion) write these vectors, the setter rejects any other
 length, and comparison is tuple equality.  The polynomial is built only
-when a coefficient is read; ``as_vector`` is its checked inverse.  The
-expansion is symmetric, so coefficients are stored once per sorted tuple.
+when a coefficient is read, and ``as_vector``, its checked inverse, reads
+JSON input only.  The expansion is symmetric, so coefficients are stored
+once per sorted tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import LaurentPolynomial
 from .series import SeriesWindowError
 
 IndexTuple = Tuple[int, ...]
 Vector = Tuple[int, ...]  # entry j is the coefficient of u^{d-j} v^j
+
+
+def convolve(p: Sequence[int], q: Sequence[int]) -> Vector:
+    """The product of two polynomials given by their coefficient vectors."""
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return tuple(out)
+
+
+def _add(acc: List[int], vec: Vector, scale: int = 1) -> None:
+    """acc += scale * vec; the empty vector (negative degree) is zero."""
+    if vec:
+        acc[:] = [a + scale * x for a, x in zip(acc, vec, strict=True)]
 
 
 def index_tuples(n: int, order: int) -> Iterator[IndexTuple]:
@@ -71,6 +88,8 @@ class NPointSeries:
     coefficients: Dict[IndexTuple, Vector] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"an n-point series needs n >= 1, got n = {self.n}")
         if self.order < 2 * self.n:
             raise ValueError(f"order {self.order} cannot hold any {self.n}-point tuple (need >= {2 * self.n})")
 
@@ -89,10 +108,6 @@ class NPointSeries:
             self.coefficients[key] = tuple(vec)
         else:
             self.coefficients.pop(key, None)
-
-    def set_polynomial(self, indices, poly: LaurentPolynomial) -> None:
-        """set_coefficient for a polynomial, through the checked inverse."""
-        self.set_coefficient(indices, as_vector(sum(indices), self.degree(indices), poly))
 
     def vector(self, indices) -> Vector:
         key = tuple(sorted(indices))
@@ -135,5 +150,6 @@ class NPointSeries:
     def from_json(cls, obj) -> "NPointSeries":
         out = cls(obj["genus"], obj["n"], obj["order"])
         for entry in obj["coefficients"]:
-            out.set_polynomial(entry["indices"], LaurentPolynomial.from_json(entry["poly"]))
+            key, poly = entry["indices"], LaurentPolynomial.from_json(entry["poly"])
+            out.set_coefficient(key, as_vector(sum(key), out.degree(key), poly))
         return out

@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from . import closedforms
 from .laurent import LaurentPolynomial
-from .npoint import NPointSeries, Vector, as_polynomial, as_vector, index_tuples
+from .npoint import NPointSeries, Vector, _add, as_polynomial, convolve, index_tuples
 from .report import VerificationReport, run_comparisons
 
 CACHE_VERSION = 2
@@ -146,22 +146,6 @@ def _multiset_splits(parts: Tuple[int, ...]):
                 )
         splits = extended
     return splits
-
-
-def _add(acc: List[int], vec: Vector, scale: int = 1) -> None:
-    """acc += scale * vec; the empty vector (negative degree) is zero."""
-    if vec:
-        acc[:] = [a + scale * x for a, x in zip(acc, vec, strict=True)]
-
-
-def convolve(p: Sequence[int], q: Sequence[int]) -> Vector:
-    """The product of two polynomials given by their coefficient vectors."""
-    out = [0] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q, i):
-                out[j] += a * b
-    return tuple(out)
 
 
 class VirasoroEngine:
@@ -340,8 +324,7 @@ class VirasoroEngine:
             return value
 
         # multiply by s / sqrt(Delta(x0)), reading the new slot off key[0]
-        inv = closedforms.inv_sqrt_delta_series("t0", order)
-        inv_rows = [as_vector(k, k, inv.coefficient(k)) for k in range(order)]
+        inv_rows = closedforms.delta_power_rows(1, order)
         for key in index_tuples(np1, order):
             m0, rest = key[0], key[1:]
             acc = [0] * max(out.degree(key) + 1, 0)

@@ -174,6 +174,28 @@ def test_verify_all_seedless_matches_the_golden_file(capsys):
     assert out == (Path(__file__).parent / "data" / "verify_all_seedless.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("which", ["G01", "G02", "G03", "G11"])
+def test_expand_matches_the_golden_file(which, capsys):
+    """expand --format text at order 12 is byte-identical to the committed output."""
+    code, out, _ = run_cli(capsys, "expand", "--which", which, "--order", "12", "--format", "text")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / f"expand_{which}_order12.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("budget", ["3", "0", "-1"])
+def test_verify_all_below_the_smallest_required_order_exits_two(budget, capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "--order-budget", budget, "--seedless")
+    assert code == 2 and out == ""
+    assert "runs no suite; the smallest required order is 4" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_npoint_needs_at_least_one_slot(n, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "npoint", "--genus", "0", "--n", n, "--order", "4", "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "needs n >= 1" in err
+
+
 def test_eo_json_schema(capsys):
     code, out, _ = run_cli(capsys, "eo", "--g", "0", "--n", "3")
     assert code == 0

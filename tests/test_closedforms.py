@@ -4,6 +4,7 @@ import pytest
 
 from dessin import closedforms as cf
 from dessin.laurent import LaurentPolynomial, binom_fraction
+from dessin.npoint import as_vector
 from dessin.report import run_comparisons
 
 S, U, V = cf.S, cf.U, cf.V
@@ -67,6 +68,31 @@ def test_g11_second_term_by_binomial_expansion():
     expected = U * V * S ** 3 * binom_fraction(Fraction(-5, 2), 1) * (-2 * S * (U + V))
     assert expected == 5 * U * V * (U + V) * S ** 4
     assert cf.dessin_closed_series("G11", 6).coefficient((4,)) == expected
+
+
+@pytest.mark.parametrize("m", [-1, 1, 3, 5])
+def test_delta_power_rows_match_the_truncated_series(m):
+    series = cf.delta_series("t", 16).unit_pow(Fraction(-m, 2))
+    assert cf.delta_power_rows(m, 17) == [as_vector(k, k, series.coefficient(k)) for k in range(17)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
+def test_an_off_by_one_row_breaks_the_double_pole_checks(k, monkeypatch):
+    rows = cf.delta_power_rows
+
+    def off_by_one(m, count):
+        out = rows(m, count)
+        out[k] = (out[k][0] + 1,) + out[k][1:]
+        return out
+
+    monkeypatch.setattr(cf, "delta_power_rows", off_by_one)
+    with pytest.raises(AssertionError, match="double-pole subtraction left residue"):
+        cf.dessin_closed_series("G02", 8)
+
+
+def test_closed_forms_equal_recursion_at_order_16(vir):
+    for which, (g, n) in [("G02", (0, 2)), ("G03", (0, 3)), ("G11", (1, 1))]:
+        assert vir.npoint_series(g, n, 16).first_difference(cf.dessin_closed_series(which, 16)) is None
 
 
 def test_unknown_closed_form():

@@ -68,10 +68,17 @@ def test_w11_matches_display(eo):
     assert eo.omega(1, 1).poly == W11_DISPLAY
 
 
-def test_unstable_forms_rejected(eo):
-    for g, n in [(0, 1), (0, 2)]:
+def test_unstable_forms_rejected(monkeypatch):
+    # a fresh engine that may not recurse: each input is rejected up front
+    engine = EOEngine()
+
+    def no_recursion(g, n):
+        raise AssertionError(f"omega recursed into ({g},{n}) before rejecting its input")
+
+    monkeypatch.setattr(engine, "_dyadic", no_recursion)
+    for g, n in [(0, 1), (0, 2), (0, 10), (1, 10)]:
         with pytest.raises(ValueError):
-            eo.omega(g, n)
+            engine.omega(g, n)
 
 
 def test_negative_genus_rejected(eo):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dessin.laurent import LaurentPolynomial
-from dessin.npoint import NPointSeries, as_polynomial, index_tuples
+from dessin.npoint import NPointSeries, as_polynomial, as_vector, index_tuples
 from dessin.series import SeriesWindowError
 
 S = LaurentPolynomial.variable("s")
@@ -65,6 +65,15 @@ def test_too_small_an_order_is_rejected_when_built():
         NPointSeries(0, 3, 5)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_fewer_than_one_slot_is_rejected(n):
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        NPointSeries(0, n, 4)
+    blob = dict(NPointSeries(0, 1, 4).to_json(), n=n)
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        NPointSeries.from_json(blob)
+
+
 def test_set_coefficient_rejects_ungraded_vectors():
     series = NPointSeries(0, 2, 8)
     series.set_coefficient((1, 2), (0, 1, 1, 0))  # degree 3 at (1, 2)
@@ -90,5 +99,5 @@ def test_polynomial_and_vector_are_inverse():
     assert as_polynomial(3, (0, 2, 1, 0)) == 2 * S ** 3 * U ** 2 * V + S ** 3 * U * V ** 2
     assert as_polynomial(2, (3,), 4) == LaurentPolynomial.monomial(Fraction(3, 4), {"s": 2})
     series = NPointSeries(0, 2, 8)
-    series.set_polynomial((2, 1), 2 * S ** 3 * U ** 2 * V + S ** 3 * U * V ** 2)
+    series.set_coefficient((2, 1), as_vector(3, 3, 2 * S ** 3 * U ** 2 * V + S ** 3 * U * V ** 2))
     assert series.vector((1, 2)) == (0, 2, 1, 0)
