@@ -21,9 +21,10 @@ The catalog also carries the genus-zero one- and two-point functions of
 three neighbouring enumeration theories (psi-class intersections on the
 moduli of curves in the variable g0, Hermitian one-matrix moments in the
 't Hooft variable t, and the even-coupling variant), each with its exact
-coefficient law, plus the type B/C and type D Narayana generating series.
-These, and the generating-function identities, are expanded with exact
-series arithmetic.  Every check compares coefficient by coefficient
+coefficient law.  Only these theories are expanded with exact series
+arithmetic.  The generating-function identities (Narayana, A132812,
+central binomial, type B/C and type D) all read the rows of
+Delta^(-/+1/2) at s = 1.  Every check compares coefficient by coefficient
 against the stated law, reporting the first discrepancy instead of raising.
 
 Double-pole subtractions such as 1/(x1-x2)^2 are handled by expanding in
@@ -40,7 +41,7 @@ from math import comb, factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .laurent import LaurentPolynomial, mul_trunc, unit_pow_trunc
-from .npoint import NPointSeries, Vector, _add, convolve, index_tuples
+from .npoint import NPointSeries, Vector, _add, as_polynomial, convolve, index_tuples
 from .report import VerificationReport, run_comparisons
 from .series import TruncatedSeries
 
@@ -66,12 +67,6 @@ G11_NUMERATORS = {
 }
 
 
-def binom(n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(comb(n, k))
-
-
 def catalan(n: int) -> Fraction:
     if n < 0:
         raise ValueError("Catalan numbers need n >= 0")
@@ -83,12 +78,6 @@ def narayana(n: int, k: int) -> Fraction:
     if not (1 <= k <= n):
         raise ValueError(f"Narayana index out of range: n={n}, k={k}")
     return Fraction(comb(n, k) * comb(n, k - 1), n)
-
-
-def narayana_poly(n: int) -> LaurentPolynomial:
-    """N_n(q) = sum_k N(n,k) q^k."""
-    q = "q"
-    return LaurentPolynomial((q,), {(k,): narayana(n, k) for k in range(1, n + 1)})
 
 
 def odd_double_factorial(n: int) -> int:
@@ -108,10 +97,6 @@ UV_SUM, UV_GAP = (1, 1), (1, -2, 1)  # u + v and (u - v)^2 as graded vectors
 def delta_series(var: str, order: int) -> TruncatedSeries:
     """Delta as a series in t = 1/x."""
     return TruncatedSeries.from_map(var, {0: 1, 1: -2 * S * (U + V), 2: S * S * (U - V) ** 2}, order)
-
-
-def inv_sqrt_delta_series(var: str, order: int) -> TruncatedSeries:
-    return delta_series(var, order).sqrt().invert()
 
 
 def _exact(vec: Sequence[int], k: int, what: str) -> Vector:
@@ -138,7 +123,7 @@ def delta_power_rows(m: int, count: int) -> List[Vector]:
 
 def narayana_one_point_law(n: int) -> LaurentPolynomial:
     """s^n u v sum_k N(n,k) u^{n-k} v^{k-1}: the stated x^{-n-1} coefficient of G_{0,1}."""
-    return S ** n * _narayana_row(n)
+    return as_polynomial(n, _narayana_row(n))
 
 
 def _double_pole_product(M: LaurentPolynomial, v1: str, v2: str, prefactor: int, step: int,
@@ -238,60 +223,66 @@ def dessin_closed_series(which: str, order: int) -> NPointSeries:
 
 
 # -- generating-function identities ------------------------------------------
+#
+# Each identity reads the rows of Delta^(-/+1/2) at s = 1 (so z = s t) and
+# works on graded vectors; a value becomes a polynomial only where it is
+# compared, so a failure still prints one.
 
 
-def _dessin_z_delta(order: int) -> TruncatedSeries:
-    """1 - 2(u+v)z + (u-v)^2 z^2 as a series in z."""
-    return TruncatedSeries.from_map("z", {0: 1, 1: -2 * (U + V), 2: (U - V) ** 2}, order)
+def _narayana_row(n: int) -> Vector:
+    """sum_k C(n,k) C(n,k-1) u^{n+1-k} v^k / n, of degree n + 1."""
+    return (0, *(int(narayana(n, k)) for k in range(1, n + 1)), 0)
 
 
-def _narayana_row(n: int) -> LaurentPolynomial:
-    """sum_k C(n,k) C(n,k-1) u^{n+1-k} v^k / n."""
-    out = LaurentPolynomial.zero()
-    for k in range(1, n + 1):
-        out = out + narayana(n, k) * U ** (n + 1 - k) * V ** k
-    return out
-
-
-def _square_binomial_row(n: int) -> LaurentPolynomial:
-    out = LaurentPolynomial.zero()
-    for k in range(0, n + 1):
-        out = out + binom(n, k) ** 2 * U ** (n - k) * V ** k
-    return out
+def _square_binomial_row(n: int) -> Vector:
+    """sum_k C(n,k)^2 u^{n-k} v^k."""
+    return tuple(comb(n, k) ** 2 for k in range(n + 1))
 
 
 def _check_narayana_gf(order: int) -> Iterator:
-    lhs = Fraction(1, 2) * (
-        TruncatedSeries.from_map("z", {0: 1, 1: -(U + V)}, order) - _dessin_z_delta(order).sqrt()
-    )
-    for j in range(order + 1):
-        expected = _narayana_row(j - 1) if j >= 2 else LaurentPolynomial.zero()
-        yield (("z", j), expected, lhs.coefficient(j))
+    # (1 - (u+v) z - sqrt(Delta)) / 2
+    lin = [(1,), (-1, -1)]
+    for j, row in enumerate(delta_power_rows(-1, order + 1)):
+        actual = [-c for c in row]
+        if j < 2:
+            _add(actual, lin[j])
+        expected = _narayana_row(j - 1) if j >= 2 else ()
+        yield (("z", j), as_polynomial(0, expected), as_polynomial(0, actual, 2))
 
 
 def _check_a132812_gf(order: int) -> Iterator:
-    lin = TruncatedSeries.from_map("z", {0: 1, 1: -(U + V)}, order)
-    lhs = Fraction(1, 2) * lin * _dessin_z_delta(order).sqrt().invert() - Fraction(1, 2)
+    # ((1 - (u+v) z) / sqrt(Delta) - 1) / 2
+    R = delta_power_rows(1, order + 1)
     for j in range(order + 1):
-        expected = (j - 1) * _narayana_row(j - 1) if j >= 2 else LaurentPolynomial.zero()
-        yield (("z", j), expected, lhs.coefficient(j))
+        actual = list(R[j])
+        if j:
+            _add(actual, convolve(UV_SUM, R[j - 1]), -1)
+        else:
+            actual[0] -= 1
+        expected = [(j - 1) * c for c in _narayana_row(j - 1)] if j >= 2 else ()
+        yield (("z", j), as_polynomial(0, expected), as_polynomial(0, actual, 2))
 
 
 def _check_central_binomial_gf(order: int) -> Iterator:
-    lhs = _dessin_z_delta(order).sqrt().invert()
-    for j in range(order + 1):
-        yield (("z", j), _square_binomial_row(j), lhs.coefficient(j))
+    for j, row in enumerate(delta_power_rows(1, order + 1)):
+        yield (("z", j), as_polynomial(0, _square_binomial_row(j)), as_polynomial(0, row))
+
+
+def _in_y(vec: Vector) -> LaurentPolynomial:
+    return LaurentPolynomial(("y",), {(k,): c for k, c in enumerate(vec)})
 
 
 def _check_typeb_gf(order: int) -> Iterator:
-    y = LaurentPolynomial.variable("y")
-    base = TruncatedSeries.from_map(
-        "x", {0: 1, 1: -2 - 2 * y, 2: 1 - 2 * y + y * y}, order
-    )
-    lhs = base.sqrt().invert()
-    for j in range(order + 1):
-        row = sum((binom(j, k) ** 2 * y ** k for k in range(j + 1)), LaurentPolynomial.zero())
-        yield (("x", j), row, lhs.coefficient(j))
+    # 1 / sqrt(1 - (2 + 2y) x + (1 - y)^2 x^2): Delta at s = u = 1, v = y, in x
+    for j, row in enumerate(delta_power_rows(1, order + 1)):
+        yield (("x", j), _in_y(_square_binomial_row(j)), _in_y(row))
+
+
+def _type_d_row(n: int) -> Vector:
+    if n == 0:
+        return (1,)
+    inner = (comb(n, k) ** 2 - n * comb(n - 1, k - 1) * comb(n - 1, k) // (n - 1) for k in range(1, n))
+    return (1, *inner, 1)
 
 
 def type_d_row(n: int) -> LaurentPolynomial:
@@ -300,50 +291,36 @@ def type_d_row(n: int) -> LaurentPolynomial:
     Row 0 is the constant 1; for n >= 1 the row is
     u^n + v^n + sum_{k=1}^{n-1} [C(n,k)^2 - n/(n-1) C(n-1,k-1) C(n-1,k)] u^{n-k} v^k.
     """
-    if n == 0:
-        return LaurentPolynomial.constant(1)
-    out = U ** n + V ** n
-    for k in range(1, n):
-        coeff = binom(n, k) ** 2 - Fraction(n, n - 1) * binom(n - 1, k - 1) * binom(n - 1, k)
-        out = out + coeff * U ** (n - k) * V ** k
-    return out
+    return as_polynomial(0, _type_d_row(n))
 
 
 def _check_typed_gf(order: int) -> Iterator:
-    # term-by-term rearrangement: type-D row = squared-binomial row minus the
-    # shifted derivative of the Narayana series
+    # term-by-term rearrangement: type-D row = squared-binomial row minus
+    # n times Narayana row n - 1 (the shifted derivative of the Narayana series)
     for n in range(order + 1):
-        shifted = LaurentPolynomial.zero()
+        rhs = list(_square_binomial_row(n))
         if n >= 2:
-            shifted = Fraction(n, n - 1) * sum(
-                (binom(n - 1, k) * binom(n - 1, k - 1) * U ** (n - k) * V ** k
-                 for k in range(1, n)),
-                LaurentPolynomial.zero(),
-            )
-        yield (("row", n), type_d_row(n), _square_binomial_row(n) - shifted)
-    t = "t"
-    depth = max(order - 1, 2)
-    lhs = TruncatedSeries.from_map(
-        t, {n + 1: S ** n * type_d_row(n) for n in range(order)}, order
-    )
-    # middle form of the chain: t/sqrt(Delta) + s d/dx of the Narayana series,
-    # with d/dx = -t^2 d/dt
-    narayana_series = TruncatedSeries.from_map(
-        t, {n + 1: S ** n * _narayana_row(n) for n in range(1, order + 1)}, order + 1
-    )
-    middle = inv_sqrt_delta_series(t, depth).shift(1).truncated(order) - (
-        S * narayana_series.differentiate().shift(2)
-    ).truncated(order)
+            _add(rhs, _narayana_row(n - 1), -n)
+        yield (("row", n), type_d_row(n), as_polynomial(0, rhs))
+    # the t^j coefficients, over s^(j-1), of the type-D series sum_n s^n row_n t^(n+1)
+    lhs = [()] + [_type_d_row(n) for n in range(order)]
+    R = [()] * 3 + delta_power_rows(1, order)  # R[i + 3] is row i; rows -3..-1 are zero
+    # middle form of the chain: t/sqrt(Delta) + s d/dx of the Narayana series
+    # sum_n s^n (Narayana row n) t^(n+1), with d/dx = -t^2 d/dt
     for j in range(order + 1):
-        yield (("t-middle", j), middle.coefficient(j), lhs.coefficient(j))
-    # closed form at the end of the chain
-    claw = Fraction(1, 2) * S * (U + V)
-    poly = TruncatedSeries.from_map(t, {0: 2, 1: -S * (U + V), 2: S * S * (U - V) ** 2}, depth)
-    rhs = TruncatedSeries.from_map(t, {2: claw}, order) + (
-        Fraction(1, 2) * poly * inv_sqrt_delta_series(t, depth)
-    ).shift(1).truncated(order)
+        middle = list(R[j + 2])
+        if j >= 3:
+            _add(middle, _narayana_row(j - 2), -(j - 1))
+        yield (("t-middle", j), as_polynomial(j - 1, middle), as_polynomial(j - 1, lhs[j]))
+    # closed form at the end of the chain:
+    # s(u+v) t^2 / 2 + t (2 - s(u+v) t + s^2 (u-v)^2 t^2) / (2 sqrt(Delta))
     for j in range(order + 1):
-        yield (("t", j), rhs.coefficient(j), lhs.coefficient(j))
+        rhs = [2 * c for c in R[j + 2]]
+        _add(rhs, convolve(UV_SUM, R[j + 1]), -1)
+        _add(rhs, convolve(UV_GAP, R[j]))
+        if j == 2:
+            _add(rhs, UV_SUM)
+        yield (("t", j), as_polynomial(j - 1, rhs, 2), as_polynomial(j - 1, lhs[j]))
 
 
 GF_IDENTITIES = {
@@ -504,26 +481,30 @@ def _check_dessin_two(order: int) -> Iterator:
     g = dessin_closed_series("G02", order)
     # row <p_1 p_n>: coefficient (1, b) = s^{b+1} sum_k C(b,k) C(b,k-1) u^{b+1-k} v^k
     for b in range(1, order - 2):
-        expected = S ** (b + 1) * (b * _narayana_row(b))
-        yield ((1, b), expected, g.coefficient((1, b)))
+        yield ((1, b), as_polynomial(b + 1, [b * c for c in _narayana_row(b)]), g.coefficient((1, b)))
     # row <p_2 p_n>: coefficient (2, b) carries the bracketed square-difference law
     for b in range(1, order - 3):
-        row = LaurentPolynomial.zero()
-        for k in range(1, b + 2):
-            coeff = binom(b + 1, k) * binom(b + 1, k - 1) - binom(b, k - 1) ** 2
-            row = row + coeff * U ** (b + 2 - k) * V ** k
-        yield ((2, b), 2 * S ** (b + 2) * row, g.coefficient((2, b)))
+        row = (comb(b + 1, k) * comb(b + 1, k - 1) - comb(b, k - 1) ** 2 for k in range(1, b + 2))
+        yield ((2, b), as_polynomial(b + 2, (0, *(2 * c for c in row), 0)), g.coefficient((2, b)))
 
 
 def _check_dessin_three(order: int) -> Iterator:
-    g = dessin_closed_series("G03", order)
-    yield ((1, 1, 1), 2 * S ** 3 * U * V, g.coefficient((1, 1, 1)))
-    # degree laws: every coefficient is s^{sum a} times u v times a (u,v)-polynomial
-    for key in g.keys():
-        val = g.coefficient(key)
-        total = sum(key)
-        yield (("s-degree", key), (total, total), (val.valuation("s"), val.degree("s")))
-        yield (("uv-divisible", key), (True, True), (val.valuation("u") >= 1, val.valuation("v") >= 1))
+    """G03 at (1,1,1), then the two lowest Virasoro constraints read as
+    relations between closed forms:
+
+        G03(1,a,b) = s (a+b) G02(a,b)
+        G03(2,a,b) = s [a G02(a+1,b) + b G02(a,b+1) + (u+v) G03(1,a,b)]
+    """
+    g3, g2 = dessin_closed_series("G03", order), dessin_closed_series("G02", order)
+    yield ((1, 1, 1), 2 * S ** 3 * U * V, g3.coefficient((1, 1, 1)))
+    for a, b in index_tuples(2, order - 2):
+        rhs = [(a + b) * c for c in g2.vector((a, b))]
+        yield (("p1", a, b), as_polynomial(a + b + 1, rhs), g3.coefficient((1, a, b)))
+    for a, b in index_tuples(2, order - 3):
+        rhs = list(convolve(UV_SUM, g3.vector((1, a, b))))
+        _add(rhs, g2.vector((a + 1, b)), a)
+        _add(rhs, g2.vector((a, b + 1)), b)
+        yield (("p2", a, b), as_polynomial(a + b + 2, rhs), g3.coefficient((2, a, b)))
 
 
 def _check_dessin_g11(order: int) -> Iterator:

@@ -36,8 +36,9 @@ table is a finite sum and is memoized per exponent.  No series is
 truncated, so no window can be too narrow.  Inside the engine each form
 is a map from integer exponent vectors (e_a, e_b, e_z1..e_zn) to integers,
 over one power of two shared by all its terms (every denominator is a
-power of two); the Laurent polynomial is built once, when the form is
-published.
+power of two).  A published form keeps exactly that, and its invariants are
+checked on the exponent vectors; the Laurent polynomial is built only when
+the form is printed or evaluated.
 
 Converting to the x-picture contracts the integer form, one slot at a
 time, against one integer slot table: the x^{-k-1} coefficient of
@@ -53,7 +54,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, count, islice, product
 from math import factorial, prod
 from operator import add
@@ -88,7 +89,8 @@ W11_DISPLAY = LaurentPolynomial.monomial(Fraction(1, 128), {"a": -2, "b": -2}) *
 
 
 class EOInvariantError(AssertionError):
-    """A computed differential violated evenness, symmetry, homogeneity or s-freeness."""
+    """A computed differential violated evenness, symmetry or homogeneity, or
+    its x-picture is not an integer polynomial in u, v."""
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,19 @@ def slot_names(n: int) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class EOForm:
-    """w_{g,n}: the scalar of W_{g,n} = w_{g,n} dz_1 ... dz_n."""
+    """w_{g,n}: the scalar of W_{g,n} = w_{g,n} dz_1 ... dz_n, held as the
+    engine's dyadic form sum c a^e_a b^e_b z_1^e_1 .. z_n^e_n / 2^shift over
+    terms {(e_a, e_b, e_1, .., e_n): c}."""
 
     g: int
     n: int
-    poly: LaurentPolynomial
+    terms: Dict[tuple, int]
+    shift: int
+
+    @cached_property
+    def poly(self) -> LaurentPolynomial:
+        return LaurentPolynomial(("a", "b") + slot_names(self.n),
+                                 {exps: Fraction(c, 1 << self.shift) for exps, c in self.terms.items()})
 
     def evaluated(self, args: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
         """Substitute the slot variables z1..zn by the given monomials."""
@@ -148,29 +158,18 @@ class EOForm:
         return self.poly.substitute(dict(zip(slot_names(self.n), args)))
 
     def check_invariants(self) -> None:
-        """Free of s, even in each slot, symmetric, and homogeneous in (a, b)
-        of degree -2(2g-2+n)."""
-        label = f"w_{{{self.g},{self.n}}}"
-        alphabet, terms = self.poly.alphabet, dict(self.poly.terms())
-        if "s" in alphabet:
-            raise EOInvariantError(f"{label} mentions s")
+        """Even in each slot, symmetric, and homogeneous in (a, b) of degree
+        -2(2g-2+n); a key has no place for s, so the form is free of it."""
+        label, terms = f"w_{{{self.g},{self.n}}}", self.terms
         names = slot_names(self.n)
-        for name in names:
-            if name in alphabet:
-                i = alphabet.index(name)
-                if any(e[i] % 2 for e in terms):
-                    raise EOInvariantError(f"{label} has odd degree in {name}")
-        for x, y in zip(names, names[1:]):
-            if x in alphabet and y in alphabet:
-                i, j = alphabet.index(x), alphabet.index(y)
-                symmetric = terms == {_swapped(e, i, j): c for e, c in terms.items()}
-            else:
-                symmetric = x not in alphabet and y not in alphabet
-            if not symmetric:
+        for i, name in enumerate(names, 2):
+            if any(e[i] % 2 for e in terms):
+                raise EOInvariantError(f"{label} has odd degree in {name}")
+        for i, (x, y) in enumerate(zip(names, names[1:]), 2):
+            if terms != {_swapped(e, i, i + 1): c for e, c in terms.items()}:
                 raise EOInvariantError(f"{label} is not symmetric under {x} <-> {y}")
         degree = -2 * (2 * self.g - 2 + self.n)
-        ab = [i for i, name in enumerate(alphabet) if name in ("a", "b")]
-        if any(sum(e[i] for i in ab) != degree for e in terms):
+        if any(e[0] + e[1] != degree for e in terms):
             raise EOInvariantError(f"{label} is not homogeneous of degree {degree} in a, b")
 
     def to_json(self) -> dict:
@@ -284,7 +283,6 @@ class EOEngine:
         self.dual = dual
         self.alpha, self.beta = (BETA, ALPHA) if dual else (ALPHA, BETA)
         self._forms: Dict[Tuple[int, int], EOForm] = {}
-        self._dyadics: Dict[Tuple[int, int], Dyadic] = {}
         self._slot_table: Dict[int, Tuple[List[Vector], Iterator[Vector]]] = {}  # e -> (rows so far, the rest)
         # 2^KAPPA_SHIFT kappa(z) with integer coefficients, keyed (e_a, e_b, e_z)
         kappa = self._kernel_poly() * HALF_INV_GAP2 * (1 << KAPPA_SHIFT)
@@ -340,7 +338,7 @@ class EOEngine:
         key = (g, n)
         if key in self._forms:
             return self._forms[key]
-        alphabet = ("a", "b") + slot_names(n)  # rejects n > 9 before any recursion
+        slot_names(n)  # rejects n > 9 before any recursion
 
         # integrands are laid out (e_a, e_b, e_z, e_z2 .. e_zn); the residue
         # puts z1 where the residue variable z was
@@ -379,16 +377,14 @@ class EOEngine:
             # w_{g,n-1}(z, others) pairs with each remaining slot in turn
             total.add(*self._residues(self._dyadic(g, n - 1), BERGMAN_PAIR, range(n - 1)), sign=-1)
 
-        self._dyadics[key] = terms, shift = total.result()
-        form = EOForm(g, n, LaurentPolynomial(
-            alphabet, {exps: Fraction(c, 1 << shift) for exps, c in terms.items()}))
+        form = EOForm(g, n, *total.result())
         form.check_invariants()
         self._forms[key] = form
         return form
 
     def _dyadic(self, g: int, n: int) -> Dyadic:
-        self.omega(g, n)
-        return self._dyadics[(g, n)]
+        form = self.omega(g, n)
+        return form.terms, form.shift
 
     def _residues(self, integrand: Dyadic, signs, inserts: Sequence[int] = (0,)) -> Dyadic:
         """(Res_{z->0} + Res_{z->infinity}) of K-hat(z1, z) F dz times

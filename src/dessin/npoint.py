@@ -9,8 +9,8 @@ s^{|A|} times an integer polynomial in (u, v) homogeneous of degree
 d = |A| - n + 2 - 2g, stored as the Virasoro memo's graded vector: entry j
 is the coefficient of u^{d-j} v^j.  All four routes (the Virasoro
 recursion, the operator-form assembly, the closed forms and the
-topological recursion) write these vectors, the setter rejects any other
-length, and comparison is tuple equality.  The polynomial is built only
+topological recursion) write these vectors, the setter treats any other
+length as an internal fault, and comparison is tuple equality.  The polynomial is built only
 when a coefficient is read, and ``as_vector``, its checked inverse, reads
 JSON input only.  The expansion is symmetric, so coefficients are stored
 once per sorted tuple.
@@ -98,12 +98,14 @@ class NPointSeries:
         return sum(indices) - self.n + 2 - 2 * self.genus
 
     def set_coefficient(self, indices, vec: Vector) -> None:
+        """Every route writes its own vectors, so one that breaks the grading
+        is an internal fault; ``from_json`` checks outside input first."""
         key = tuple(sorted(indices))
         if len(key) != self.n:
-            raise ValueError(f"expected {self.n} indices, got {indices!r}")
+            raise AssertionError(f"expected {self.n} indices, got {indices!r}")
         d = self.degree(key)
         if len(vec) != max(d + 1, 0) or any(type(c) is not int for c in vec):
-            raise ValueError(f"{key} has degree {d}, so needs {max(d + 1, 0)} ints, got {vec!r}")
+            raise AssertionError(f"{key} has degree {d}, so needs {max(d + 1, 0)} ints, got {vec!r}")
         if any(vec):
             self.coefficients[key] = tuple(vec)
         else:
@@ -151,5 +153,7 @@ class NPointSeries:
         out = cls(obj["genus"], obj["n"], obj["order"])
         for entry in obj["coefficients"]:
             key, poly = entry["indices"], LaurentPolynomial.from_json(entry["poly"])
+            if len(key) != out.n:
+                raise ValueError(f"expected {out.n} indices, got {key!r}")
             out.set_coefficient(key, as_vector(sum(key), out.degree(key), poly))
         return out

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dessin import cli
+from dessin import cli, closedforms
 from dessin.laurent import LaurentPolynomial
 
 
@@ -180,6 +180,27 @@ def test_expand_matches_the_golden_file(which, capsys):
     code, out, _ = run_cli(capsys, "expand", "--which", which, "--order", "12", "--format", "text")
     assert code == 0
     assert out == (Path(__file__).parent / "data" / f"expand_{which}_order12.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (0, 5), (1, 3), (2, 2), (3, 1)])
+def test_eo_matches_the_golden_file(g, n, fmt, capsys):
+    """eo prints each form's polynomial byte-identical to the committed output."""
+    code, out, _ = run_cli(capsys, "eo", "--g", str(g), "--n", str(n), "--format", fmt)
+    assert code == 0
+    suffix = "txt" if fmt == "text" else "json"
+    assert out == (Path(__file__).parent / "data" / f"eo_g{g}n{n}.{suffix}").read_text(encoding="utf-8")
+
+
+def test_a_wrong_length_vector_from_a_closed_form_exits_three(monkeypatch, tmp_path, capsys):
+    """A vector the program wrote itself with the wrong length is an internal
+    fault (exit 3), not a usage error."""
+    rows = closedforms.delta_power_rows
+    monkeypatch.setattr(closedforms, "delta_power_rows", lambda m, count: [row + (0,) for row in rows(m, count)])
+    code, out, err = run_cli(capsys, "verify", "--suite", "closed-form", "--which", "G11", "--order", "8",
+                             "--cache", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: AssertionError")
 
 
 @pytest.mark.parametrize("budget", ["3", "0", "-1"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -6,6 +7,7 @@ from dessin import closedforms as cf
 from dessin.laurent import LaurentPolynomial, binom_fraction
 from dessin.npoint import as_vector
 from dessin.report import run_comparisons
+from dessin.series import TruncatedSeries
 
 S, U, V = cf.S, cf.U, cf.V
 
@@ -20,12 +22,6 @@ def test_narayana_row_four():
 def test_narayana_at_one_is_catalan():
     for n in range(1, 21):
         assert sum(cf.narayana(n, k) for k in range(1, n + 1)) == cf.catalan(n)
-
-
-def test_narayana_poly():
-    p = cf.narayana_poly(3)
-    q = LaurentPolynomial.variable("q")
-    assert p == q + 3 * q ** 2 + q ** 3
 
 
 def test_narayana_bounds():
@@ -126,12 +122,39 @@ def test_identity_rejects_unknown_name_and_tiny_order():
 def test_collapse_u_v_to_one_gives_catalan_and_central_binomial():
     # Narayana rows at u = v = 1 are Catalan numbers; squared-binomial rows
     # sum to central binomials
-    one = LaurentPolynomial.constant(1)
     for n in range(1, 16):
-        row = cf._narayana_row(n).substitute({"u": one, "v": one})
-        assert row == LaurentPolynomial.constant(cf.catalan(n))
-        sq = cf._square_binomial_row(n).substitute({"u": one, "v": one})
-        assert sq == LaurentPolynomial.constant(cf.binom(2 * n, n))
+        assert sum(cf._narayana_row(n)) == cf.catalan(n)
+        assert sum(cf._square_binomial_row(n)) == comb(2 * n, n)
+
+
+def test_identities_use_no_series_square_root_or_inverse(monkeypatch):
+    """Every identity reads the integer rows of Delta^(-/+1/2), not a series."""
+    def no_series(*args, **kwargs):
+        raise AssertionError("an identity expanded a series")
+
+    monkeypatch.setattr(TruncatedSeries, "sqrt", no_series)
+    monkeypatch.setattr(TruncatedSeries, "invert", no_series)
+    for name in cf.identity_names():
+        report = cf.gf_identity_check(name, 10)
+        assert report.passed, (name, report.first_discrepancy)
+
+
+def test_a_wrong_row_fails_an_identity_and_prints_polynomials(monkeypatch):
+    rows = cf.delta_power_rows
+
+    def off_by_one(m, count):
+        out = rows(m, count)
+        out[3] = (out[3][0] + 1,) + out[3][1:]
+        return out
+
+    monkeypatch.setattr(cf, "delta_power_rows", off_by_one)
+    for name in cf.identity_names():
+        report = cf.gf_identity_check(name, 6)
+        assert not report.passed, name
+        assert "(" not in report.first_discrepancy["actual"], name
+    report = cf.gf_identity_check("central-binomial-gf", 6)
+    assert report.first_discrepancy == {
+        "location": ["z", 3], "expected": "v^3 + 9*u*v^2 + 9*u^2*v + u^3", "actual": "v^3 + 9*u*v^2 + 9*u^2*v + 2*u^3"}
 
 
 def test_type_d_row_values():
@@ -169,6 +192,30 @@ def test_catalog_wk_double_factorial_identity():
         lhs = Fraction(cf.odd_double_factorial(n), cf.factorial(n + 2))
         rhs = cf.catalan(n + 1) / 2 ** (n + 1)
         assert lhs == rhs
+
+
+def test_dessin_three_checks_the_virasoro_relations():
+    """1 fixture, 16 rows of G03(1,a,b) = s(a+b) G02(a,b) and 12 rows of the
+    second relation at order 12."""
+    report = cf.catalog_check("dessin/three", 12)
+    assert report.passed and report.checked_count == 29
+
+
+@pytest.mark.parametrize("key,location", [((1, 2, 3), ["p1", 2, 3]), ((2, 2, 3), ["p2", 2, 3])])
+def test_a_doctored_g03_fails_the_dessin_three_check(key, location, monkeypatch):
+    closed = cf.dessin_closed_series
+
+    def doctored(which, order):
+        out = closed(which, order)
+        if which == "G03":
+            vec = out.vector(key)  # still s^|A| u v times a polynomial of the right degree
+            out.set_coefficient(key, vec[:1] + (vec[1] + 1,) + vec[2:])
+        return out
+
+    monkeypatch.setattr(cf, "dessin_closed_series", doctored)
+    report = cf.catalog_check("dessin/three", 12)
+    assert not report.passed
+    assert report.first_discrepancy["location"] == location
 
 
 def test_catalog_rejects_unknown_key():

@@ -136,22 +136,31 @@ def test_forms_even_symmetric_s_free(eo, g, n):
 
 
 def test_invariant_violation_is_hard_error():
-    z1 = LaurentPolynomial.variable("z1")
-    with pytest.raises(EOInvariantError):
-        EOForm(0, 3, z1).check_invariants()  # odd degree
-    z2 = LaurentPolynomial.variable("z2")
-    with pytest.raises(EOInvariantError):
-        EOForm(0, 3, z1 ** 2 + 2 * z2 ** 2).check_invariants()  # asymmetric
-    with pytest.raises(EOInvariantError):
-        EOForm(1, 1, S * z1 ** 2).check_invariants()  # mentions s
+    # keys are (e_a, e_b, e_z1, e_z2, e_z3); a^-2 keeps each form homogeneous of degree -2
+    with pytest.raises(EOInvariantError, match="odd degree in z1"):
+        EOForm(0, 3, {(-2, 0, 1, 0, 0): 1}, 0).check_invariants()
+    with pytest.raises(EOInvariantError, match="not symmetric under z1 <-> z2"):
+        EOForm(0, 3, {(-2, 0, 2, 0, 0): 1, (-2, 0, 0, 2, 0): 2}, 0).check_invariants()  # z1^2 + 2 z2^2
+    with pytest.raises(EOInvariantError, match="not symmetric under z2 <-> z3"):
+        EOForm(0, 3, {(-2, 0, 2, 2, 0): 1}, 1).check_invariants()  # z1^2 z2^2 / 2
 
 
 def test_inhomogeneous_form_is_hard_error():
-    z1, z2, z3 = (LaurentPolynomial.variable(name) for name in slot_names(3))
-    EOForm(0, 3, A ** -2 * (z1 * z2 * z3) ** 2).check_invariants()  # degree -2 = -2(2g-2+n)
+    EOForm(0, 3, {(-2, 0, 2, 2, 2): 1}, 0).check_invariants()  # degree -2 = -2(2g-2+n)
     with pytest.raises(EOInvariantError, match="homogeneous"):
         # even and symmetric, but of degrees -2 and -4 in (a, b)
-        EOForm(0, 3, (A ** -2 + B ** -4) * (z1 * z2 * z3) ** 2).check_invariants()
+        EOForm(0, 3, {(-2, 0, 2, 2, 2): 1, (0, -4, 2, 2, 2): 1}, 0).check_invariants()
+
+
+def test_published_forms_keep_only_the_dyadic_form():
+    """Computing and checking forms never builds their polynomial; printing does."""
+    engine = EOEngine()
+    assert engine.verify_main_theorem(0, 6, 12).passed
+    assert len(engine._forms) > 1
+    assert all("poly" not in form.__dict__ for form in engine._forms.values())
+    form = engine.omega(1, 1)
+    assert form.to_json()["form"] == form.poly.to_json(("a", "b", "z1"))
+    assert "poly" in form.__dict__
 
 
 @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (0, 5), (1, 3), (2, 2)])
@@ -301,7 +310,7 @@ def test_x_picture_edge_rejects_odd_powers_and_non_integers():
     # times u^4 / v^4: even, integral, of the right total degree, but with a negative power of v
     shifted = {(exps[0] + 8, exps[1] - 8) + exps[2:]: c for exps, c in terms.items()}
     for doctored in ((odd, shift), (terms, shift + 2), (shifted, shift)):  # s^3 u v / 2 is not integral
-        engine._dyadics[(0, 3)] = doctored
+        engine._forms[(0, 3)] = EOForm(0, 3, *doctored)
         with pytest.raises(EOInvariantError):
             engine.to_x_series(0, 3, 6)
 

@@ -77,9 +77,12 @@ def test_fewer_than_one_slot_is_rejected(n):
 def test_set_coefficient_rejects_ungraded_vectors():
     series = NPointSeries(0, 2, 8)
     series.set_coefficient((1, 2), (0, 1, 1, 0))  # degree 3 at (1, 2)
+    # every route writes its own vectors, so a wrong one is an internal fault (exit 3), not bad input
     for bad in [(1, 0, 0), (1, 0, 0, 0, 0), (0, 1.0, 1, 0), (0, True, 1, 0)]:
-        with pytest.raises(ValueError, match="has degree 3"):
+        with pytest.raises(AssertionError, match="has degree 3"):
             series.set_coefficient((2, 1), bad)
+    with pytest.raises(AssertionError, match="expected 2 indices"):
+        series.set_coefficient((1, 1, 1), (0, 0, 0, 0))
     assert series.vector((1, 2)) == (0, 1, 1, 0)
     assert series.vector((1, 1)) == (0, 0, 0)  # nothing stored: zeros of the graded length
 
@@ -93,6 +96,9 @@ def test_from_json_rejects_what_no_graded_vector_holds():
         blob = dict(good, coefficients=[{"indices": [1, 2], "poly": poly.to_json()}])
         with pytest.raises(ValueError, match="expected"):
             NPointSeries.from_json(blob)
+    blob = dict(good, coefficients=[{"indices": [1, 1, 1], "poly": (S ** 3 * U * V).to_json()}])
+    with pytest.raises(ValueError, match="expected 2 indices"):
+        NPointSeries.from_json(blob)
 
 
 def test_polynomial_and_vector_are_inverse():
