@@ -10,12 +10,20 @@ byte-identical.
 The Virasoro memo table persists as a versioned JSON cache.  Resolution
 order for its directory: ``--cache PATH`` flag, then the
 ``DESSIN_CACHE_DIR`` environment variable, then ``./.dessin-cache``.
-A warm cache can only change timings, never a reported value.
+A warm cache can only change timings, never a reported value.  A query
+writes the cache back only when it added entries, so a read-only query
+never touches the file (nor creates its directory) and never drops another
+process's newer entries; two writers can still lose each other's entries.
+
+The argument parser is built once per process; ``main`` looks the
+``cmd_<command>`` function up in this module at call time, so a replaced
+command takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,6 +59,9 @@ def load_engine(cache_dir: Path) -> VirasoroEngine:
 
 
 def save_engine(cache_dir: Path, engine: VirasoroEngine) -> None:
+    """Write the table back only if it grew since it was loaded or saved."""
+    if len(engine.table) == engine.table.stored:
+        return
     cache_dir.mkdir(parents=True, exist_ok=True)
     engine.table.save(cache_dir / CACHE_FILE)
 
@@ -389,6 +400,7 @@ def _parse_parts(text: str):
     return parts
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dessin",
@@ -408,38 +420,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", required=True, help="comma-separated positive integers, e.g. 1,2,2")
     p.add_argument("--weighted", action="store_true", help="multiply by the product of the parts")
     common(p, cache=True)
-    p.set_defaults(func=cmd_correlator)
 
     p = sub.add_parser("npoint", help="truncated n-point expansion from the recursion")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
     common(p, cache=True)
-    p.set_defaults(func=cmd_npoint)
 
     p = sub.add_parser("eo", help="a topological-recursion differential w_{g,n}")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_eo)
 
     p = sub.add_parser("expand", help="expand a closed form (G01, G02, G03, G11)")
     p.add_argument("--which", required=True)
     p.add_argument("--order", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("times", help="local branch-point expansion coefficients of y")
     p.add_argument("--branch", choices=("plus", "minus"), required=True)
     p.add_argument("--order", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_times)
 
     p = sub.add_parser("identity", help="check one generating-function identity")
     p.add_argument("--name", required=True)
     p.add_argument("--order", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite")
@@ -452,13 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which")
     p.add_argument("--name")
     common(p, cache=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cache", help="inspect or manage the correlator cache")
     p.add_argument("action", choices=("info", "clear", "warm"))
     p.add_argument("--order", type=int)
     common(p, cache=True)
-    p.set_defaults(func=cmd_cache)
 
     return parser
 
@@ -467,7 +471,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -72,6 +72,9 @@ class CorrelatorTable:
     entries: Dict[PartitionKey, Vector] = field(default_factory=dict)
     hits: int = field(default=0, compare=False)
     misses: int = field(default=0, compare=False)
+    # entries in the file this table was loaded from or last saved to; the
+    # table only grows, so an equal length means nothing new to write
+    stored: int = field(default=0, compare=False)
 
     def get(self, key: PartitionKey) -> Optional[Vector]:
         value = self.entries.get(key)
@@ -98,15 +101,16 @@ class CorrelatorTable:
                 for key in sorted(self.entries, key=lambda k: (k.genus, k.parts))
             ],
         }
+        text = json.dumps(payload) + "\n"  # json.dump would take the pure-Python encoder
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-                fh.write("\n")
+                fh.write(text)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        self.stored = len(self.entries)
 
     @classmethod
     def load(cls, path) -> "CorrelatorTable":
@@ -122,13 +126,19 @@ class CorrelatorTable:
         table = cls()
         try:
             for entry in payload["entries"]:
-                key = PartitionKey.make(entry["g"], entry["parts"])
+                g, parts = entry["g"], entry["parts"]
+                if type(g) is not int or any(type(a) is not int for a in parts):
+                    raise ValueError(f"genus and parts must be ints, got g={g!r}, parts={parts!r}")
+                key = PartitionKey.make(g, parts)
+                if key in table.entries:
+                    raise ValueError(f"{key} appears twice")
                 value = tuple(entry["w"])
                 if any(type(c) is not int for c in value) or value != value[::-1]:
                     raise ValueError(f"{key} needs a u<->v symmetric vector of ints, got {entry['w']!r}")
                 table.put(key, value)
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"corrupt correlator cache {path}: {exc}") from exc
+        table.stored = len(table)
         return table
 
 

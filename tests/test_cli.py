@@ -7,6 +7,7 @@ import pytest
 
 from dessin import cli, closedforms
 from dessin.laurent import LaurentPolynomial
+from dessin.virasoro import PartitionKey
 
 
 def run_cli(capsys, *argv):
@@ -335,3 +336,61 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert out.startswith("PASS eo-base")
+
+
+@pytest.mark.parametrize("argv", [
+    ("correlator", "--genus", "1", "--parts", "2,2"),
+    ("npoint", "--genus", "0", "--n", "2", "--order", "6"),
+])
+def test_a_repeated_query_leaves_the_cache_file_untouched(argv, tmp_path, capsys):
+    path = tmp_path / cli.CACHE_FILE
+    run_cli(capsys, *argv, "--cache", str(tmp_path))
+    before, stamp = path.read_bytes(), path.stat().st_mtime_ns
+    code, _, _ = run_cli(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 0
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == stamp
+
+
+def test_a_query_that_adds_entries_rewrites_the_cache(tmp_path, capsys):
+    path = tmp_path / cli.CACHE_FILE
+    run_cli(capsys, "correlator", "--genus", "0", "--parts", "3", "--cache", str(tmp_path))
+    before = path.read_bytes()
+    run_cli(capsys, "correlator", "--genus", "1", "--parts", "4,2", "--cache", str(tmp_path))
+    assert path.read_bytes() != before
+    assert json.loads(before)["entries"][0] in json.loads(path.read_bytes())["entries"]
+
+
+def test_a_query_that_stores_nothing_creates_no_cache_directory(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    code, _, _ = run_cli(capsys, "correlator", "--genus", "5", "--parts", "1", "--cache", str(cache_dir))
+    assert code == 0
+    assert not cache_dir.exists()
+
+
+def test_a_reader_does_not_clobber_a_writer(tmp_path):
+    seed = cli.load_engine(tmp_path)
+    seed.raw_correlator(0, (3,))
+    cli.save_engine(tmp_path, seed)
+    reader = cli.load_engine(tmp_path)
+    writer = cli.load_engine(tmp_path)
+    writer.raw_correlator(1, (4, 2))
+    cli.save_engine(tmp_path, writer)
+    reader.raw_correlator(0, (3,))
+    cli.save_engine(tmp_path, reader)
+    entries = cli.load_engine(tmp_path).table.entries
+    assert len(entries) == len(writer.table)
+    assert PartitionKey.make(1, (2, 4)) in entries
+
+
+def test_the_parser_is_built_once_and_commands_are_looked_up_at_call_time(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_eo", broken)
+    code, out, err = run_cli(capsys, "eo", "--g", "0", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"

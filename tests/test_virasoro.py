@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 from math import factorial, prod
 
@@ -302,6 +303,13 @@ BAD_CACHES = {
     "string-coefficient": {"version": 2, "entries": [{"g": 0, "parts": [1], "w": [0, "1", 0]}]},
     "bool-coefficient": {"version": 2, "entries": [{"g": 0, "parts": [1], "w": [0, True, 0]}]},
     "not-palindromic": {"version": 2, "entries": [{"g": 0, "parts": [2], "w": [0, 1, 2, 0]}]},
+    # keys that hash equal to the real ones
+    "float-genus": {"version": 2, "entries": [{"g": 0.0, "parts": [1], "w": [0, 1, 0]}]},
+    "bool-genus": {"version": 2, "entries": [{"g": False, "parts": [1], "w": [0, 1, 0]}]},
+    "float-part": {"version": 2, "entries": [{"g": 0, "parts": [1.0], "w": [0, 1, 0]}]},
+    "bool-part": {"version": 2, "entries": [{"g": 0, "parts": [True], "w": [0, 1, 0]}]},
+    "duplicate-entry": {"version": 2, "entries": [{"g": 0, "parts": [2], "w": [0, 1, 1, 0]},
+                                                  {"g": 0, "parts": [2], "w": [0, 7, 7, 0]}]},
 }
 
 
@@ -331,7 +339,7 @@ def test_cache_stores_integer_vectors(tmp_path):
     }
 
 
-def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
+def _assert_failed_save_keeps_the_old_cache(tmp_path, monkeypatch, target, name, failing):
     engine = VirasoroEngine()
     engine.raw_correlator(0, (3,))
     path = tmp_path / "table.json"
@@ -339,17 +347,28 @@ def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
     before, saved = path.read_bytes(), CorrelatorTable.load(path)
     engine.raw_correlator(1, (4, 2))
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"version": 2, "entries": [')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+    monkeypatch.setattr(target, name, failing)
     with pytest.raises(OSError):
         engine.table.save(path)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert CorrelatorTable.load(path) == saved
     assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
+
+
+def test_interrupted_save_keeps_the_old_cache(tmp_path, monkeypatch):
+    def fail(obj, **kwargs):
+        raise OSError("out of memory")
+
+    _assert_failed_save_keeps_the_old_cache(tmp_path, monkeypatch, json, "dumps", fail)
+
+
+def test_failed_rename_keeps_the_old_cache(tmp_path, monkeypatch):
+    def fail_after_write(src, dst):
+        assert os.path.getsize(src) > 0  # the temporary file was written
+        raise OSError("disk full")
+
+    _assert_failed_save_keeps_the_old_cache(tmp_path, monkeypatch, os, "replace", fail_after_write)
 
 
 def test_cache_load_extend_save_is_superset(tmp_path):
