@@ -1,6 +1,6 @@
 """Exact dessin-correlator engines and their cross-verification suites."""
 
-from .coeffs import GaussianRational, Rational
+from .coeffs import GaussianRational
 from .laurent import LaurentPolynomial, lp_mul
 from .npoint import NPointSeries
 from .report import VerificationReport
@@ -16,7 +16,6 @@ __all__ = [
     "LaurentPolynomial",
     "NPointSeries",
     "PartitionKey",
-    "Rational",
     "TruncatedSeries",
     "VerificationReport",
     "VirasoroEngine",

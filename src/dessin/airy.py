@@ -52,22 +52,6 @@ XI = "xi"
 BRANCHES = ("plus", "minus")
 
 
-@dataclass(frozen=True)
-class BranchPointData:
-    branch: str
-    x_value: LaurentPolynomial  # s(sqrt(u) +- sqrt(v))^2 in the q-alphabet
-    alphabet: Tuple[str, ...]
-    gaussian: bool
-
-
-def branch_data(branch: str) -> BranchPointData:
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    sign = 1 if branch == "plus" else -1
-    x_val = QS ** 2 * (QA ** 4 + 2 * sign * QA ** 2 * QB ** 2 + QB ** 4)
-    return BranchPointData(branch, x_val, ("qs", "qa", "qb", "r"), branch == "minus")
-
-
 def y_branch_series(branch: str, order: int) -> TruncatedSeries:
     """y expanded in the local coordinate xi, an odd series.
 

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Tuple
 
 from . import airy, closedforms
 from .eo import W03_DISPLAY, W11_DISPLAY, EOEngine
-from .npoint import index_tuples
+from .npoint import as_polynomial, index_tuples
 from .report import VerificationReport, run_comparisons
 from .virasoro import CacheFormatError, CorrelatorTable, VirasoroEngine
 
@@ -73,7 +73,7 @@ def suite_one_point_fixtures(vir: VirasoroEngine) -> VerificationReport:
     return run_comparisons(
         "one-point-fixtures",
         {"n_max": 5},
-        ((n, expected, vir.weighted_correlator(0, (n,))) for n, expected in closedforms.G01_NUMERATORS.items()),
+        ((n, as_polynomial(n, vec), vir.weighted_correlator(0, (n,))) for n, vec in closedforms.G01_NUMERATORS.items()),
     )
 
 

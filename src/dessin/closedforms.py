@@ -12,58 +12,57 @@ The x^{-n-1} coefficient of G_{0,1} is s^n u v times the n-th Narayana
 polynomial row, which is what ties dessin counting to Narayana numbers;
 setting u = v = 1 collapses each row to a Catalan number.
 
-Each dessin form is a small numerator times Delta^{-m/2}, m = -1, 1, 3 or
-5, so all four are read off the integer rows of one recurrence,
-``delta_power_rows``, straight into ``NPointSeries`` vectors.  A row or a
-value that is not integral is an internal fault.
+Every curve here is the square root of a radicand 1 + a1 w + a2 w^2, and
+every value is read off the integer rows of one recurrence for its powers,
+``power_rows``; a row or a value that is not integral is an internal fault.
+Each dessin form is a small numerator times Delta^{-m/2}, m = -1, 1, 3 or 5.
 
 The catalog also carries the genus-zero one- and two-point functions of
 three neighbouring enumeration theories (psi-class intersections on the
 moduli of curves in the variable g0, Hermitian one-matrix moments in the
 't Hooft variable t, and the even-coupling variant), each with its exact
-coefficient law.  Only these theories are expanded with exact series
-arithmetic.  The generating-function identities (Narayana, A132812,
-central binomial, type B/C and type D) all read the rows of
-Delta^(-/+1/2) at s = 1.  Every check compares coefficient by coefficient
-against the stated law, reporting the first discrepancy instead of raising.
+coefficient law.  Their radicands 1 - 4t w^2 and 1 - 4t w have rows of
+length 1 whose power of t the exponent of w fixes; 1 - 2 g0 w^2 is
+1 - 4t w^2 at t = g0/2.  The generating-function identities (Narayana,
+A132812, central binomial, type B/C and type D) hold at s = 1.  Every
+check compares coefficient by coefficient against the stated law,
+reporting the first discrepancy instead of raising; a value becomes a
+polynomial only where it is compared, so a failure still prints one.
 
-Double-pole subtractions such as 1/(x1-x2)^2 are handled by expanding in
-the asymmetric region |x2| < |x1| (a geometric series in x2/x1) and
-asserting that the result is symmetric and supported on the expected
-exponent window; the spurious boundary exponents must cancel exactly.
+The double pole 1/(x1-x2)^2 of every two-point function is expanded by one
+routine, ``_double_pole``, in the region |x2| < |x1|: a geometric series
+in x2/x1 whose spurious boundary exponents must cancel exactly.  The
+dessin and Witten-Kontsevich forms assert it; the other catalog theories
+compare those entries against zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import comb, factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .laurent import LaurentPolynomial, mul_trunc, unit_pow_trunc
+from .laurent import LaurentPolynomial
 from .npoint import NPointSeries, Vector, _add, as_polynomial, convolve, index_tuples
 from .report import VerificationReport, run_comparisons
-from .series import TruncatedSeries
 
-S = LaurentPolynomial.variable("s")
-U = LaurentPolynomial.variable("u")
-V = LaurentPolynomial.variable("v")
-
-# the displayed x^{-n-1} numerators of G_{0,1} for n <= 5
+# the displayed x^{-n-1} numerators of G_{0,1} for n <= 5, over s^n
 G01_NUMERATORS = {
-    1: S * U * V,
-    2: S ** 2 * U * V * (U + V),
-    3: S ** 3 * U * V * (U ** 2 + 3 * U * V + V ** 2),
-    4: S ** 4 * U * V * (U ** 3 + 6 * U ** 2 * V + 6 * U * V ** 2 + V ** 3),
-    5: S ** 5 * U * V * (U ** 4 + 10 * U ** 3 * V + 20 * U ** 2 * V ** 2 + 10 * U * V ** 3 + V ** 4),
+    1: (0, 1, 0),
+    2: (0, 1, 1, 0),
+    3: (0, 1, 3, 1, 0),
+    4: (0, 1, 6, 6, 1, 0),
+    5: (0, 1, 10, 20, 10, 1, 0),
 }
 
-# the displayed x^{-a-1} coefficients of G_{1,1} for a = 3..6 (with the u v factor)
+# the displayed x^{-a-1} coefficients of G_{1,1} for a = 3..6 (with the u v factor), over s^a
 G11_NUMERATORS = {
-    3: U * V * S ** 3,
-    4: 5 * U * V * (U + V) * S ** 4,
-    5: U * V * (15 * U ** 2 + 40 * U * V + 15 * V ** 2) * S ** 5,
-    6: 35 * U * V * (U + V) * (U ** 2 + 4 * U * V + V ** 2) * S ** 6,
+    3: (0, 1, 0),
+    4: (0, 5, 5, 0),
+    5: (0, 15, 40, 15, 0),
+    6: (0, 35, 175, 175, 35, 0),
 }
 
 
@@ -92,11 +91,9 @@ def odd_double_factorial(n: int) -> int:
 
 CLOSED_FORM_TARGETS = {"G01": (0, 1), "G02": (0, 2), "G03": (0, 3), "G11": (1, 1)}  # (g, n) of each form
 UV_SUM, UV_GAP = (1, 1), (1, -2, 1)  # u + v and (u - v)^2 as graded vectors
-
-
-def delta_series(var: str, order: int) -> TruncatedSeries:
-    """Delta as a series in t = 1/x."""
-    return TruncatedSeries.from_map(var, {0: 1, 1: -2 * S * (U + V), 2: S * S * (U - V) ** 2}, order)
+# the catalog radicands 1 - 4t w^2 and 1 - 4t w as (a1, a2), over the power of t that w fixes
+QUADRATIC, LINEAR = ((0,), (-4,)), ((-4,), ())
+ONE = {(0, 0): (1,)}  # the two-point numerator at zero coupling
 
 
 def _exact(vec: Sequence[int], k: int, what: str) -> Vector:
@@ -106,62 +103,56 @@ def _exact(vec: Sequence[int], k: int, what: str) -> Vector:
     return tuple(c // k for c in vec)
 
 
-def delta_power_rows(m: int, count: int) -> List[Vector]:
-    """Rows 0..count-1 of Delta^(-m/2), m odd: row k is the graded vector of
-    the t^k coefficient over s^k, t = 1/x.  Delta f' = -(m/2) Delta' f gives
-    f_0 = 1, f_1 = m (u+v) and
+def power_rows(m: int, a1: Vector, a2: Vector, count: int) -> List[Vector]:
+    """Rows 0..count-1 of f^(-m/2), m odd, f = 1 + a1 w + a2 w^2 with a1 and
+    a2 graded vectors of degrees d and 2d (a2 may be empty): row k is the
+    w^k coefficient, of degree k d.  f g' = -(m/2) f' g gives g_0 = 1 and
+    (J.C.P. Miller's recurrence for the powers of a series)
 
-        k f_k = (m+2k-2)(u+v) f_{k-1} - (m+k-2)(u-v)^2 f_{k-2}.
+        2k g_k = -(m+2k-2) a1 g_{k-1} - 2(m+k-2) a2 g_{k-2}.
     """
-    rows = [(1,), (m, m)][:count]
-    for k in range(2, count):
-        lin, quad = convolve(UV_SUM, rows[k - 1]), convolve(UV_GAP, rows[k - 2])
-        num = [(m + 2 * k - 2) * x - (m + k - 2) * y for x, y in zip(lin, quad)]
-        rows.append(_exact(num, k, f"row {k} of Delta^({-m}/2)"))
-    return rows
+    rows = [(1,)]
+    for k in range(1, count):
+        num = [-(m + 2 * k - 2) * c for c in convolve(a1, rows[k - 1])]
+        if k > 1:
+            _add(num, convolve(a2, rows[k - 2]), -2 * (m + k - 2))
+        rows.append(_exact(num, 2 * k, f"row {k} of ({a1}, {a2})^({-m}/2)"))
+    return rows[:count]
+
+
+def delta_power_rows(m: int, count: int) -> List[Vector]:
+    """Rows 0..count-1 of Delta^(-m/2): row k is the t^k coefficient over s^k."""
+    return power_rows(m, (-2, -2), UV_GAP, count)
+
+
+def _double_pole(num: Dict[Tuple[int, int], Vector], drop: Dict[Tuple[int, int], Vector],
+                 rows: List[Vector]) -> Dict[Tuple[int, int], Vector]:
+    """The w1^e1 w2^e2 coefficients, e1 + e2 <= len(rows) + 1, of
+
+        (num(w1, w2) R(w1) R(w2) - drop(w1, w2)) sum_{k>=0} (k+1) w1^{k+2} w2^{-k}
+
+    with R the given rows and num, drop of degree at most 1 in each w_i.  On
+    e1 + e2 = n + 2, first sums M(i, n-i) = [w1^i w2^{n-i}](num R R - drop)
+    over i <= e1 - 2, and second sums first: M(e1-2-k, e2+k) is counted k+1
+    times.  The entries with e2 < 2 are the boundary the caller checks.
+    """
+    R = [()] + rows  # R[i + 1] is row i; row -1 is zero
+    table = {}
+    for n in range(len(rows)):
+        first, second = [0] * len(rows[n]), [0] * len(rows[n])
+        for i in range(n + 1):
+            j = n - i
+            for (p, q), c in num.items():
+                _add(first, convolve(c, convolve(R[i + 1 - p], R[j + 1 - q])))
+            _add(first, drop.get((i, j), ()), -1)
+            _add(second, first)
+            table[i + 2, j] = tuple(second)
+    return table
 
 
 def narayana_one_point_law(n: int) -> LaurentPolynomial:
     """s^n u v sum_k N(n,k) u^{n-k} v^{k-1}: the stated x^{-n-1} coefficient of G_{0,1}."""
     return as_polynomial(n, _narayana_row(n))
-
-
-def _double_pole_product(M: LaurentPolynomial, v1: str, v2: str, prefactor: int, step: int,
-                         max_total: int) -> Dict[Tuple[int, int], LaurentPolynomial]:
-    """Coefficients of M * v1^prefactor * sum_{k>=0} (k+1) (v1/v2)^{step k}.
-
-    This is the expansion of the 1/(x1-x2)^2-style double pole in the
-    region |x2| < |x1|.  Only output pairs with both exponents >= 0 and
-    total <= max_total are collected; everything below that window must
-    cancel and the caller asserts as much on the boundary rows.
-    """
-    out: Dict[Tuple[int, int], LaurentPolynomial] = {}
-    for e1 in M.exponent_range(v1):
-        p1 = M.coefficient_of(v1, e1)
-        for e2 in p1.exponent_range(v2):
-            c = p1.coefficient_of(v2, e2)
-            if c.is_zero():
-                continue
-            k = 0
-            while e2 - step * k >= 0:
-                o1, o2 = e1 + prefactor + step * k, e2 - step * k
-                if o1 + o2 <= max_total:
-                    out[(o1, o2)] = out.get((o1, o2), LaurentPolynomial.zero()) + (k + 1) * c
-                k += 1
-    return {key: val for key, val in out.items() if not val.is_zero()}
-
-
-def _half_double_pole(num: LaurentPolynomial, f: Dict[int, object], names: Tuple[str, str], depth: int,
-                      max_total: int) -> Dict[Tuple[int, int], LaurentPolynomial]:
-    """(num / sqrt(f(w1) f(w2)) - 1) / 2 through total degree depth, times the
-    double pole as in _double_pole_product; f maps powers of w to coefficients.
-    The square root factors, so it is a product of two one-variable series."""
-    w1, w2 = names
-    root = mul_trunc(*(TruncatedSeries.from_map(w, f, depth).sqrt().invert().as_polynomial() for w in names),
-                     names, depth)
-    M = mul_trunc(num, root, names, depth) - 1
-    table = _double_pole_product(M, w1, w2, prefactor=2, step=1, max_total=max_total)
-    return {k: Fraction(1, 2) * v for k, v in table.items()}
 
 
 def dessin_closed_series(which: str, order: int) -> NPointSeries:
@@ -178,24 +169,14 @@ def dessin_closed_series(which: str, order: int) -> NPointSeries:
         return out
 
     if which == "G02":
-        # (num R(t1) R(t2) - 1) / 2 times the double pole sum_k (k+1) t1^{k+2} t2^{-k}, with
-        # num = 1 - s(u+v)(t1 + t2) + s^2 (u-v)^2 t1 t2 and R = Delta^(-1/2)
-        R = [()] + delta_power_rows(1, order - 1)  # R[i + 1] is row i; row -1 is zero
-        table = {}  # twice the t1^e1 t2^e2 coefficient, over s^{e1+e2-2}
-        for n in range(order - 1):
-            # on e1 + e2 = n + 2, first sums M(i, n-i) = [t1^i t2^{n-i}](num R R - 1) over
-            # i <= e1 - 2, and second sums first: M(e1-2-k, e2+k) is counted k+1 times
-            first, second = [-int(n == 0)] + [0] * n, [0] * (n + 1)  # M(0, 0) carries the -1
-            for i in range(n + 1):
-                j = n - i
-                _add(first, convolve(R[i + 1], R[j + 1]))
-                _add(first, convolve(UV_SUM, convolve(R[i], R[j + 1])), -1)
-                _add(first, convolve(UV_SUM, convolve(R[i + 1], R[j])), -1)
-                _add(first, convolve(UV_GAP, convolve(R[i], R[j])))
-                _add(second, first)
-                if j < 2 and any(second):
-                    raise AssertionError(f"double-pole subtraction left residue at exponents ({i + 2},{j}): {second}")
-                table[i + 2, j] = tuple(second)
+        # (num R(t1) R(t2) - 1) / 2 times the double pole, with
+        # num = 1 - s(u+v)(t1 + t2) + s^2 (u-v)^2 t1 t2 and R = Delta^(-1/2);
+        # the table holds twice the t1^e1 t2^e2 coefficient, over s^{e1+e2-2}
+        num = {**ONE, (1, 0): (-1, -1), (0, 1): (-1, -1), (1, 1): UV_GAP}
+        table = _double_pole(num, ONE, delta_power_rows(1, order - 1))
+        for (e1, e2), vec in table.items():
+            if e2 < 2 and any(vec):
+                raise AssertionError(f"double-pole subtraction left residue at exponents ({e1},{e2}): {vec}")
         for a, b in index_tuples(2, order):
             if table[a + 1, b + 1] != table[b + 1, a + 1]:
                 raise AssertionError(f"asymmetric two-point expansion at ({a + 1},{b + 1})")
@@ -224,9 +205,7 @@ def dessin_closed_series(which: str, order: int) -> NPointSeries:
 
 # -- generating-function identities ------------------------------------------
 #
-# Each identity reads the rows of Delta^(-/+1/2) at s = 1 (so z = s t) and
-# works on graded vectors; a value becomes a polynomial only where it is
-# compared, so a failure still prints one.
+# Each identity but type B/C reads the rows of Delta^(-/+1/2) at s = 1 (so z = s t).
 
 
 def _narayana_row(n: int) -> Vector:
@@ -272,10 +251,24 @@ def _in_y(vec: Vector) -> LaurentPolynomial:
     return LaurentPolynomial(("y",), {(k,): c for k, c in enumerate(vec)})
 
 
+# (1 + b)^2 and (1 - b)^2 in ascending powers of b
+TYPEB_FACTORS = ((1, 2, 1), (1, -2, 1))
+
+
 def _check_typeb_gf(order: int) -> Iterator:
-    # 1 / sqrt(1 - (2 + 2y) x + (1 - y)^2 x^2): Delta at s = u = 1, v = y, in x
-    for j, row in enumerate(delta_power_rows(1, order + 1)):
-        yield (("x", j), _in_y(_square_binomial_row(j)), _in_y(row))
+    # 1 / sqrt(1 - (2 + 2y) x + (1 - y)^2 x^2) with y = b^2 factors as
+    # (1 - (1+b)^2 x)^(-1/2) (1 - (1-b)^2 x)^(-1/2), and (1 - c x)^(-1/2) =
+    # sum_i C(2i,i) (c x / 4)^i, so the x^n coefficient is
+    # 4^-n sum_{i+j=n} C(2i,i) C(2j,j) (1+b)^{2i} (1-b)^{2j}
+    plus, minus = (list(accumulate([factor] * order, convolve, initial=(1,))) for factor in TYPEB_FACTORS)
+    for n in range(order + 1):
+        acc = [0] * (2 * n + 1)
+        for i in range(n + 1):
+            _add(acc, convolve(plus[i], minus[n - i]), comb(2 * i, i) * comb(2 * (n - i), n - i))
+        in_b = _exact(acc, 4 ** n, f"type B row {n}")
+        if any(in_b[1::2]):
+            raise AssertionError(f"type B row {n} has odd powers of b: {in_b}")
+        yield (("x", n), _in_y(_square_binomial_row(n)), _in_y(in_b[::2]))
 
 
 def _type_d_row(n: int) -> Vector:
@@ -350,43 +343,33 @@ def gf_identity_check(name: str, order: int) -> VerificationReport:
 def _check_wk_one(order: int) -> Iterator:
     g0 = LaurentPolynomial.variable("g0")
     worder = 2 * order
-    base = TruncatedSeries.from_map("w", {0: 1, 2: -2 * g0}, worder)
-    f = TruncatedSeries.from_map("w", {0: 1, 2: -g0}, worder) - base.sqrt()
-    # f = w * G^{WK}_{0,1}(1/w); nonzero coefficients sit at w^{2n+4}
+    # f = 1 - g0 w^2 - sqrt(1 - 2 g0 w^2) = w * G^{WK}_{0,1}(1/w): at t = g0/2
+    # the w^j coefficient is (lin - row j) t^{j/2}; nonzero ones sit at w^{2n+4}
+    lin, rows = (1, 0, -2), power_rows(-1, *QUADRATIC, worder + 1)
     for j in range(worder + 1):
         if j >= 4 and j % 2 == 0:
             n = (j - 4) // 2
             expected = Fraction(odd_double_factorial(n), factorial(n + 2)) * g0 ** (n + 2)
         else:
             expected = LaurentPolynomial.zero()
-        yield (("w", j), expected, f.coefficient(j))
+        c = (lin[j] if j < 3 else 0) - rows[j][0]
+        yield (("w", j), expected, LaurentPolynomial.monomial(Fraction(c, 2 ** (j // 2)), {"g0": j // 2}))
 
 
 def _check_wk_two(order: int) -> Iterator:
     g0 = LaurentPolynomial.variable("g0")
     wmax = 2 * order + 4
-    w1, w2 = "w1", "w2"
-    W1, W2 = LaurentPolynomial.variable(w1), LaurentPolynomial.variable(w2)
-    tvars = (w1, w2)
-    depth = wmax - 4
-    radic = mul_trunc(1 - 2 * g0 * W1 ** 2, 1 - 2 * g0 * W2 ** 2, tvars, depth)
-    usr = unit_pow_trunc(radic, Fraction(-1, 2), tvars, depth)
-    # (z1^2 + z2^2 - 4 g0) w1 w2 = w2/w1 + w1/w2 - 4 g0 w1 w2, exponents >= -1
-    prefix = (
-        LaurentPolynomial.monomial(1, {w1: -1, w2: 1})
-        + LaurentPolynomial.monomial(1, {w1: 1, w2: -1})
-        - 4 * g0 * W1 * W2
-    )
-    first = (prefix * usr).truncate(tvars, depth)
-    second = LaurentPolynomial.monomial(1, {w1: -1, w2: 1}) + LaurentPolynomial.monomial(1, {w1: 1, w2: -1})
-    M = first - second
-    table = _double_pole_product(M, w1, w2, prefactor=4, step=2, max_total=wmax)
-    for (j1, j2) in sorted(table):
-        if j2 < 3 and not table[(j1, j2)].is_zero():
-            raise AssertionError(f"WK double-pole subtraction left residue at ({j1},{j2})")
+    # M sum_k (k+1) w1^{4+2k} w2^{-2k}, with M = (z1^2 + z2^2 - 4 g0) w1 w2 R(w1) R(w2)
+    # - (w2/w1 + w1/w2) and R = (1 - 2 g0 w^2)^(-1/2).  In y = w^2 and t = g0/2,
+    # w1 w2 M = (y1 + y2 - 8t y1 y2) R R - (y1 + y2) and the step-2 double pole is
+    # the double pole in y, so y^e sits at w^{2e-1}
+    ends = {(1, 0): (1,), (0, 1): (1,)}
+    table = _double_pole({**ends, (1, 1): (-8,)}, ends, power_rows(1, *LINEAR, order + 2))
+    for (e1, e2), vec in table.items():
+        if e2 < 2 and any(vec):
+            raise AssertionError(f"WK double-pole subtraction left residue at ({2 * e1 - 1},{2 * e2 - 1})")
     for j1 in range(wmax + 1):
         for j2 in range(3, wmax + 1 - j1):
-            actual = table.get((j1, j2), LaurentPolynomial.zero())
             if j1 >= 3 and j1 % 2 == 1 and j2 % 2 == 1:
                 k, l = (j1 - 3) // 2, (j2 - 3) // 2
                 expected = (
@@ -395,32 +378,33 @@ def _check_wk_two(order: int) -> Iterator:
                 ) * g0 ** (k + l + 1)
             else:
                 expected = LaurentPolynomial.zero()
-            yield ((j1, j2), expected, actual)
+            c = table.get(((j1 + 1) // 2, (j2 + 1) // 2), (0,))[0] if j1 % 2 and j2 % 2 else 0
+            p = (j1 + j2 - 4) // 2
+            yield ((j1, j2), expected, LaurentPolynomial.monomial(c * Fraction(1, 2) ** p, {"g0": p}))
 
 
 def _check_hermitian_one(order: int) -> Iterator:
     t = LaurentPolynomial.variable("t")
     worder = 2 * order
-    f = Fraction(1, 2) * (1 - TruncatedSeries.from_map("w", {0: 1, 2: -4 * t}, worder).sqrt())
-    # f = w * G_{0,1}(1/w); the moment <p_m> sits at w^{m+2} of f, so even
-    # moments give Catalan numbers at even powers and odd moments vanish
+    # f = (1 - sqrt(1 - 4t w^2)) / 2 = w * G_{0,1}(1/w); the moment <p_m> sits at w^{m+2} of f,
+    # so even moments give Catalan numbers at even powers and odd moments vanish
+    rows = power_rows(-1, *QUADRATIC, worder + 1)
     for j in range(worder + 1):
         if j >= 2 and j % 2 == 0:
             n = (j - 2) // 2
             expected = catalan(n) * t ** (n + 1)
         else:
             expected = LaurentPolynomial.zero()
-        yield (("w", j), expected, f.coefficient(j))
+        yield (("w", j), expected, LaurentPolynomial.monomial(Fraction(int(j == 0) - rows[j][0], 2), {"t": j // 2}))
 
 
 def _check_hermitian_two(order: int) -> Iterator:
     t = LaurentPolynomial.variable("t")
     wmax = 2 * order + 2
-    W1, W2 = LaurentPolynomial.variable("w1"), LaurentPolynomial.variable("w2")
-    table = _half_double_pole(1 - 4 * t * W1 * W2, {0: 1, 2: -4 * t}, ("w1", "w2"), wmax - 2, wmax)
+    # (num R(w1) R(w2) - 1) / 2 times the double pole, num = 1 - 4t w1 w2, R = (1 - 4t w^2)^(-1/2)
+    table = _double_pole({**ONE, (1, 1): (-4,)}, ONE, power_rows(1, *QUADRATIC, wmax - 1))
     for j1 in range(wmax + 1):
         for j2 in range(wmax + 1 - j1):
-            actual = table.get((j1, j2), LaurentPolynomial.zero())
             expected = LaurentPolynomial.zero()
             if j1 >= 2 and j2 >= 2 and (j1 % 2 == j2 % 2):
                 if j1 % 2 == 0:
@@ -435,31 +419,30 @@ def _check_hermitian_two(order: int) -> Iterator:
                         4 * Fraction(factorial(2 * m + 1) * factorial(2 * n + 1))
                         / (factorial(m) ** 2 * factorial(n) ** 2 * (m + n + 2))
                     ) * t ** (m + n + 2)
-            yield ((j1, j2), expected, actual)
+            c = table.get((j1, j2), (0,))[0]
+            yield ((j1, j2), expected, LaurentPolynomial.monomial(Fraction(c, 2), {"t": (j1 + j2 - 2) // 2}))
 
 
 def _check_even_coupling_one(order: int) -> Iterator:
     t = LaurentPolynomial.variable("t")
-    f = Fraction(1, 4) * (
-        TruncatedSeries.from_map("w", {0: 1, 1: -2 * t}, order)
-        - TruncatedSeries.from_map("w", {0: 1, 1: -4 * t}, order).sqrt()
-    )
+    # f = (1 - 2t w - sqrt(1 - 4t w)) / 4
+    lin, rows = (1, -2), power_rows(-1, *LINEAR, order + 1)
     for j in range(order + 1):
         if j >= 2:
             expected = Fraction(factorial(2 * j - 2), 2 * factorial(j - 1) * factorial(j)) * t ** j
         else:
             expected = LaurentPolynomial.zero()
-        yield (("w", j), expected, f.coefficient(j))
+        c = (lin[j] if j < 2 else 0) - rows[j][0]
+        yield (("w", j), expected, LaurentPolynomial.monomial(Fraction(c, 4), {"t": j}))
 
 
 def _check_even_coupling_two(order: int) -> Iterator:
     t = LaurentPolynomial.variable("t")
     wmax = order + 2
-    W1, W2 = LaurentPolynomial.variable("w1"), LaurentPolynomial.variable("w2")
-    table = _half_double_pole(1 - 2 * t * W1 - 2 * t * W2, {0: 1, 1: -4 * t}, ("w1", "w2"), wmax - 2, wmax)
+    # (num R(w1) R(w2) - 1) / 2 times the double pole, num = 1 - 2t w1 - 2t w2, R = (1 - 4t w)^(-1/2)
+    table = _double_pole({**ONE, (1, 0): (-2,), (0, 1): (-2,)}, ONE, power_rows(1, *LINEAR, wmax - 1))
     for j1 in range(wmax + 1):
         for j2 in range(wmax + 1 - j1):
-            actual = table.get((j1, j2), LaurentPolynomial.zero())
             expected = LaurentPolynomial.zero()
             if j1 >= 2 and j2 >= 2:
                 m, n = j1 - 2, j2 - 2
@@ -468,7 +451,8 @@ def _check_even_coupling_two(order: int) -> Iterator:
                     * Fraction(factorial(2 * m + 1), factorial(m) ** 2)
                     * Fraction(factorial(2 * n + 1), factorial(n) ** 2)
                 ) * t ** (m + n + 2)
-            yield ((j1, j2), expected, actual)
+            c = table.get((j1, j2), (0,))[0]
+            yield ((j1, j2), expected, LaurentPolynomial.monomial(Fraction(c, 2), {"t": j1 + j2 - 2}))
 
 
 def _check_dessin_one(order: int) -> Iterator:
@@ -496,7 +480,7 @@ def _check_dessin_three(order: int) -> Iterator:
         G03(2,a,b) = s [a G02(a+1,b) + b G02(a,b+1) + (u+v) G03(1,a,b)]
     """
     g3, g2 = dessin_closed_series("G03", order), dessin_closed_series("G02", order)
-    yield ((1, 1, 1), 2 * S ** 3 * U * V, g3.coefficient((1, 1, 1)))
+    yield ((1, 1, 1), as_polynomial(3, (0, 2, 0)), g3.coefficient((1, 1, 1)))
     for a, b in index_tuples(2, order - 2):
         rhs = [(a + b) * c for c in g2.vector((a, b))]
         yield (("p1", a, b), as_polynomial(a + b + 1, rhs), g3.coefficient((1, a, b)))
@@ -511,7 +495,7 @@ def _check_dessin_g11(order: int) -> Iterator:
     g = dessin_closed_series("G11", order)
     for a, expected in G11_NUMERATORS.items():
         if a + 1 <= order:
-            yield ((a,), expected, g.coefficient((a,)))
+            yield ((a,), as_polynomial(a, expected), g.coefficient((a,)))
 
 
 CATALOG = {

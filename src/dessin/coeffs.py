@@ -3,8 +3,7 @@
 Rational coefficients are plain ``fractions.Fraction`` values (always in
 lowest terms, positive denominator, zero is 0/1).  ``GaussianRational``
 adjoins the imaginary unit for the handful of places where a square root
-of a negative quantity appears; it is closed under +, -, *, / and
-conjugation is an involution.
+of a negative quantity appears; it is closed under +, -, * and /.
 
 Polynomial code treats a coefficient as ``Fraction | GaussianRational``
 and normalizes a Gaussian value with zero imaginary part back down to a
@@ -16,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-Rational = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -38,9 +35,6 @@ class GaussianRational:
     def __post_init__(self):
         object.__setattr__(self, "re", _as_fraction(self.re))
         object.__setattr__(self, "im", _as_fraction(self.im))
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

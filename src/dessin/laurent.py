@@ -91,18 +91,6 @@ class LaurentPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def constant_term(self) -> Coefficient:
-        zero_key = (0,) * len(self._alphabet)
-        return self._terms.get(zero_key, Fraction(0))
-
-    def coeff_for(self, exps: Mapping[str, int]) -> Coefficient:
-        """Coefficient of the monomial with the given exponents (others 0)."""
-        wanted = {n: e for n, e in exps.items() if e}
-        if any(n not in self._alphabet for n in wanted):
-            return Fraction(0)
-        key = tuple(wanted.get(n, 0) for n in self._alphabet)
-        return self._terms.get(key, Fraction(0))
-
     def coefficient_of(self, name: str, k: int) -> "LaurentPolynomial":
         """The coefficient of name**k as a polynomial in the other symbols."""
         if name not in self._alphabet:

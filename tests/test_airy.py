@@ -9,17 +9,6 @@ from dessin.report import run_comparisons
 from dessin.series import TruncatedSeries
 
 
-def test_branch_data():
-    plus = airy.branch_data("plus")
-    minus = airy.branch_data("minus")
-    qs, qa, qb = airy.QS, airy.QA, airy.QB
-    assert plus.x_value == qs ** 2 * (qa ** 2 + qb ** 2) ** 2
-    assert minus.x_value == qs ** 2 * (qa ** 2 - qb ** 2) ** 2
-    assert minus.gaussian and not plus.gaussian
-    with pytest.raises(ValueError):
-        airy.branch_data("sideways")
-
-
 def test_y_series_is_odd():
     y = airy.y_branch_series("plus", 9)
     assert all(k % 2 == 1 for k, _ in y.items())

@@ -3,13 +3,26 @@ from math import comb
 
 import pytest
 
-from dessin import closedforms as cf
+from dessin import cli, closedforms as cf
 from dessin.laurent import LaurentPolynomial, binom_fraction
-from dessin.npoint import as_vector
+from dessin.npoint import as_polynomial, as_vector
 from dessin.report import run_comparisons
 from dessin.series import TruncatedSeries
 
-S, U, V = cf.S, cf.U, cf.V
+S, U, V, T, G0 = (LaurentPolynomial.variable(name) for name in ("s", "u", "v", "t", "g0"))
+
+
+def delta_series(var: str, order: int) -> TruncatedSeries:
+    """Delta as a series in t = 1/x: the reference for the rows of the recurrence."""
+    return TruncatedSeries.from_map(var, {0: 1, 1: -2 * S * (U + V), 2: S * S * (U - V) ** 2}, order)
+
+
+# each catalog radicand as (a1, a2), as a series in w, and the w^j coefficient that row j stands for
+CATALOG_RADICANDS = [
+    (cf.QUADRATIC, {0: 1, 2: -4 * T}, lambda j, c: c * T ** (j // 2)),
+    (cf.QUADRATIC, {0: 1, 2: -2 * G0}, lambda j, c: Fraction(c, 2 ** (j // 2)) * G0 ** (j // 2)),
+    (cf.LINEAR, {0: 1, 1: -4 * T}, lambda j, c: c * T ** j),
+]
 
 
 # -- Narayana / Catalan ----------------------------------------------------------
@@ -38,7 +51,7 @@ def test_narayana_bounds():
 def test_g01_matches_printed_numerators():
     g01 = cf.dessin_closed_series("G01", 7)
     for n, expected in cf.G01_NUMERATORS.items():
-        assert g01.coefficient((n,)) == expected
+        assert g01.coefficient((n,)) == as_polynomial(n, expected)
 
 
 def test_g01_equals_recursion(vir):
@@ -68,8 +81,12 @@ def test_g11_second_term_by_binomial_expansion():
 
 @pytest.mark.parametrize("m", [-1, 1, 3, 5])
 def test_delta_power_rows_match_the_truncated_series(m):
-    series = cf.delta_series("t", 16).unit_pow(Fraction(-m, 2))
+    series = delta_series("t", 16).unit_pow(Fraction(-m, 2))
     assert cf.delta_power_rows(m, 17) == [as_vector(k, k, series.coefficient(k)) for k in range(17)]
+    for (a1, a2), radicand, at in CATALOG_RADICANDS:
+        series = TruncatedSeries.from_map("w", radicand, 16).unit_pow(Fraction(-m, 2))
+        rows = cf.power_rows(m, a1, a2, 17)
+        assert [at(j, row[0]) for j, row in enumerate(rows)] == [series.coefficient(j) for j in range(17)]
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
@@ -84,6 +101,25 @@ def test_an_off_by_one_row_breaks_the_double_pole_checks(k, monkeypatch):
     monkeypatch.setattr(cf, "delta_power_rows", off_by_one)
     with pytest.raises(AssertionError, match="double-pole subtraction left residue"):
         cf.dessin_closed_series("G02", 8)
+
+
+def test_a_perturbed_double_pole_fails_every_two_point_check(vir, monkeypatch):
+    """One routine serves G02, hermitian/two and even-coupling/two: flipping the
+    sign of the numerator's coupling terms breaks all of them."""
+    double_pole = cf._double_pole
+
+    def perturbed(num, drop, rows):
+        return double_pole({k: c if k == (0, 0) else tuple(-x for x in c) for k, c in num.items()}, drop, rows)
+
+    monkeypatch.setattr(cf, "_double_pole", perturbed)
+    with pytest.raises(AssertionError, match="double-pole subtraction left residue"):
+        cli.suite_closed_form(vir, "G02", 10)
+    with pytest.raises(AssertionError, match="double-pole subtraction left residue"):
+        cf.catalog_check("dessin/two", 8)
+    assert cf.catalog_check("hermitian/two", 6).first_discrepancy == {
+        "location": [3, 1], "expected": "0", "actual": "4*t"}
+    assert cf.catalog_check("even-coupling/two", 6).first_discrepancy == {
+        "location": [2, 1], "expected": "0", "actual": "2*t"}
 
 
 def test_closed_forms_equal_recursion_at_order_16(vir):
@@ -127,16 +163,19 @@ def test_collapse_u_v_to_one_gives_catalan_and_central_binomial():
         assert sum(cf._square_binomial_row(n)) == comb(2 * n, n)
 
 
-def test_identities_use_no_series_square_root_or_inverse(monkeypatch):
-    """Every identity reads the integer rows of Delta^(-/+1/2), not a series."""
+def test_catalog_and_identities_expand_no_truncated_series(monkeypatch):
+    """Every identity and catalog check reads integer rows, not a series."""
     def no_series(*args, **kwargs):
-        raise AssertionError("an identity expanded a series")
+        raise AssertionError("a check expanded a series")
 
-    monkeypatch.setattr(TruncatedSeries, "sqrt", no_series)
-    monkeypatch.setattr(TruncatedSeries, "invert", no_series)
+    for name in ("sqrt", "invert", "unit_pow", "__mul__"):
+        monkeypatch.setattr(TruncatedSeries, name, no_series)
     for name in cf.identity_names():
         report = cf.gf_identity_check(name, 10)
         assert report.passed, (name, report.first_discrepancy)
+    for key in cf.catalog_names():
+        report = cf.catalog_check(key, 8)
+        assert report.passed, (key, report.first_discrepancy)
 
 
 def test_a_wrong_row_fails_an_identity_and_prints_polynomials(monkeypatch):
@@ -148,13 +187,26 @@ def test_a_wrong_row_fails_an_identity_and_prints_polynomials(monkeypatch):
         return out
 
     monkeypatch.setattr(cf, "delta_power_rows", off_by_one)
-    for name in cf.identity_names():
+    for name in set(cf.identity_names()) - {"typeB-gf"}:
         report = cf.gf_identity_check(name, 6)
         assert not report.passed, name
         assert "(" not in report.first_discrepancy["actual"], name
+    assert cf.gf_identity_check("typeB-gf", 6).passed  # it expands its own factored radicand
     report = cf.gf_identity_check("central-binomial-gf", 6)
     assert report.first_discrepancy == {
         "location": ["z", 3], "expected": "v^3 + 9*u*v^2 + 9*u^2*v + u^3", "actual": "v^3 + 9*u*v^2 + 9*u^2*v + 2*u^3"}
+
+
+def test_a_doctored_type_b_factor_fails_the_type_b_check(monkeypatch):
+    # 1 + 4b + b^2 and its conjugate: the division by 4^n stays exact and the
+    # odd powers of b cancel, so only the values are wrong
+    monkeypatch.setattr(cf, "TYPEB_FACTORS", ((1, 4, 1), (1, -4, 1)))
+    report = cf.gf_identity_check("typeB-gf", 6)
+    assert report.first_discrepancy == {"location": ["x", 2], "expected": "1 + 4*y + y^2", "actual": "1 + 10*y + y^2"}
+    # two equal factors leave odd powers of b, which no row in y can hold
+    monkeypatch.setattr(cf, "TYPEB_FACTORS", ((1, 2, 1), (1, 2, 1)))
+    with pytest.raises(AssertionError, match="odd powers of b"):
+        cf.gf_identity_check("typeB-gf", 6)
 
 
 def test_type_d_row_values():

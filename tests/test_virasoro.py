@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dessin import cli
-from dessin.closedforms import S, U, V, dessin_closed_series, narayana_one_point_law
+from dessin.closedforms import dessin_closed_series, narayana_one_point_law
+from dessin.laurent import LaurentPolynomial
 from dessin.series import SeriesWindowError
 from dessin.virasoro import (
     CacheFormatError,
@@ -15,6 +16,8 @@ from dessin.virasoro import (
     PartitionKey,
     VirasoroEngine,
 )
+
+S, U, V = (LaurentPolynomial.variable(name) for name in ("s", "u", "v"))
 
 
 def partitions_up_to(total):
