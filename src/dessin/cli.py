@@ -257,7 +257,7 @@ def cmd_npoint(args) -> int:
 
 def cmd_eo(args) -> int:
     form = EOEngine().omega(args.g, args.n)
-    emit(form.to_json(), args.format, lambda p: str(form.poly))
+    print(form.json_text() if args.format == "json" else str(form.poly))
     return 0
 
 

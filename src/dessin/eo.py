@@ -27,39 +27,42 @@ z = 0 and -sum_k z0^2k z^(-2k-2) at z = infinity give
 
     (Res_{z->0} + Res_{z->infinity}) z^j dz / (z0^2 - z^2) = z0^(j-1)  (j odd; 0 for j even),
 
-so an integrand that is a Laurent polynomial F in z contributes
-kappa(z0) F(z0) / z0^2.  A Bergman factor 1/(z - sigma w)^2 expands as
-sum_p (p+1) sigma^p z^p w^(-p-2) at z = 0 and sum_p (p+1) sigma^p w^p z^(-p-2)
-at infinity, so every monomial of kappa(z) F(z) / z contracts against a
-table of the same two residues with the pair factors multiplied in; the
-table is a finite sum and is memoized per exponent.  No series is
-truncated, so no window can be too narrow.  Inside the engine each form
-is a map from integer exponent vectors (e_a, e_b, e_z1..e_zn) to integers,
-over one power of two shared by all its terms (every denominator is a
-power of two).  A published form keeps exactly that, and its invariants are
-checked on the exponent vectors; the Laurent polynomial is built only when
-the form is printed or evaluated.
+so an integrand F contributes kappa(z0) F(z0) / z0^2.  A Bergman factor
+1/(z - sigma w)^2 expands as sum_p (p+1) sigma^p z^p w^(-p-2) at z = 0 and
+sum_p (p+1) sigma^p w^p z^(-p-2) at infinity, so each monomial of kappa F / z
+contracts against a memoized finite table of the same two residues; no series
+is truncated.
 
-Converting to the x-picture contracts the integer form, one slot at a
-time, against one integer slot table: the x^{-k-1} coefficient of
-z(x)^{2e} dz/dx is s^k times a homogeneous polynomial of degree 2k in
-(a, b), kept as an int vector over a power of two.  Only nondecreasing
-index prefixes are contracted, each partial sum shared by every tuple
-extending it, and each step is a convolution.  A finished tuple becomes
-the graded (u, v) vector, u = a^2 and v = b^2, that the Virasoro side stores.
+A form is stored by slot orbits, {(e_a, h_1 <= .. <= h_n): c} over one power of
+two, the h_i halved slot exponents (an odd one is an EOInvariantError) and
+e_b = -2(2g-2+n) - e_a: evenness, symmetry and homogeneity hold by the shape of
+the key, and check_invariants checks that each key is an orbit representative.
+Integrands are keyed (e_a, h_z, *sorted spectators); the residue step keeps the
+outputs whose z1 exponent is the smallest of the orbit.  Orbits are expanded
+only where a slot is singled out (w(z, z, rest), the factorizations and the
+Bergman insertions, through by_first_slot) and for printing (sorted_terms).
+
+The x-picture contracts the orbits one slot at a time against one integer table:
+the x^{-k-1} coefficient of z(x)^{2e} dz/dx, s^k times a homogeneous polynomial
+of degree 2k in (a, b), an int vector over a power of two.  Only nondecreasing
+index prefixes are contracted, each partial sum keyed by the orbit of the open
+slots.  A finished tuple becomes the graded (u, v) vector of the Virasoro side.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, count, islice, product
-from math import factorial, prod
+from itertools import count, islice, product
+from math import comb, factorial, prod
 from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .coeffs import format_coeff
 from .laurent import LaurentPolynomial
 from .npoint import NPointSeries, Vector, convolve, index_tuples
 from .report import VerificationReport, run_comparisons
@@ -137,9 +140,8 @@ def slot_names(n: int) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class EOForm:
-    """w_{g,n}: the scalar of W_{g,n} = w_{g,n} dz_1 ... dz_n, held as the
-    engine's dyadic form sum c a^e_a b^e_b z_1^e_1 .. z_n^e_n / 2^shift over
-    terms {(e_a, e_b, e_1, .., e_n): c}."""
+    """w_{g,n} (W_{g,n} = w_{g,n} dz_1 ... dz_n) by slot orbits: {(e_a, h_1 <= .. <= h_n): c} gives
+    a^e_a b^(-2(2g-2+n) - e_a) times each distinct ordering of z_1^2h_1 .. z_n^2h_n the coefficient c / 2^shift."""
 
     g: int
     n: int
@@ -148,8 +150,12 @@ class EOForm:
 
     @cached_property
     def poly(self) -> LaurentPolynomial:
-        return LaurentPolynomial(("a", "b") + slot_names(self.n),
-                                 {exps: Fraction(c, 1 << self.shift) for exps, c in self.terms.items()})
+        return LaurentPolynomial.from_json(self.to_json()["form"])
+
+    @cached_property
+    def by_first_slot(self) -> Dict[tuple, int]:
+        """z1 singled out: {(e_a, h_1, *sorted other slots): c} for each distinct h_1 of each orbit."""
+        return {(key[0], h) + rest: c for key, c in self.terms.items() for h, rest in _picks(key[1:])}
 
     def evaluated(self, args: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
         """Substitute the slot variables z1..zn by the given monomials."""
@@ -158,82 +164,68 @@ class EOForm:
         return self.poly.substitute(dict(zip(slot_names(self.n), args)))
 
     def check_invariants(self) -> None:
-        """Even in each slot, symmetric, and homogeneous in (a, b) of degree
-        -2(2g-2+n); a key has no place for s, so the form is free of it."""
-        label, terms = f"w_{{{self.g},{self.n}}}", self.terms
-        names = slot_names(self.n)
-        for i, name in enumerate(names, 2):
-            if any(e[i] % 2 for e in terms):
-                raise EOInvariantError(f"{label} has odd degree in {name}")
-        for i, (x, y) in enumerate(zip(names, names[1:]), 2):
-            if terms != {_swapped(e, i, i + 1): c for e, c in terms.items()}:
-                raise EOInvariantError(f"{label} is not symmetric under {x} <-> {y}")
-        degree = -2 * (2 * self.g - 2 + self.n)
-        if any(e[0] + e[1] != degree for e in terms):
-            raise EOInvariantError(f"{label} is not homogeneous of degree {degree} in a, b")
+        """Each key is an orbit representative, e_a and n nondecreasing slot exponents; the rest holds by shape."""
+        for key in self.terms:
+            if len(key) != self.n + 1 or list(key[1:]) != sorted(key[1:]):
+                raise EOInvariantError(f"w_{{{self.g},{self.n}}} key {key} is not an orbit representative")
+
+    def sorted_terms(self) -> List[tuple]:
+        """Each monomial as (e_a, e_b, e_1, .., e_n, "p/q"), in LaurentPolynomial.to_json's order."""
+        degree, terms = -2 * (2 * self.g - 2 + self.n), []
+        for key, c in self.terms.items():
+            head, text = (key[0], degree - key[0]), (format_coeff(Fraction(c, 1 << self.shift)),)
+            terms.extend([head + exps + text for exps in _arrangements(tuple(2 * h for h in key[1:]))])
+        terms.sort()
+        return terms
 
     def to_json(self) -> dict:
-        return {
-            "g": self.g,
-            "n": self.n,
-            "form": self.poly.to_json(("a", "b") + slot_names(self.n)),
-        }
+        """LaurentPolynomial.to_json's layout over (a, b, z1, .., zn), without building the polynomial."""
+        terms = [{"e": list(term[:-1]), "c": term[-1]} for term in self.sorted_terms()]
+        return {"g": self.g, "n": self.n, "form": {"alphabet": ["a", "b", *slot_names(self.n)], "terms": terms}}
+
+    def json_text(self) -> str:
+        """json.dumps(self.to_json(), indent=2) from one template per term: that encoder takes ~17 s on w_{0,8}."""
+        shell = {"g": self.g, "n": self.n, "form": {"alphabet": ["a", "b", *slot_names(self.n)], "terms": [None]}}
+        head, tail = json.dumps(shell, indent=2).split("      null")  # the placeholder marks the terms' place
+        exps = ",\n          ".join(["%d"] * (self.n + 2))
+        term = '      {\n        "e": [\n          %s\n        ],\n        "c": "%%s"\n      }' % exps
+        return head + ",\n".join([term % values for values in self.sorted_terms()]) + tail
 
 
-def _swapped(exps: tuple, i: int, j: int) -> tuple:
-    """exps with entries i < j exchanged."""
-    return exps[:i] + (exps[j],) + exps[i + 1 : j] + (exps[i],) + exps[j + 1 :]
+@lru_cache(maxsize=None)
+def _picks(hs: tuple) -> Tuple[Tuple[int, tuple], ...]:
+    """(h, hs without one h) for each distinct value h of the sorted tuple hs."""
+    return tuple((h, hs[:i] + hs[i + 1:]) for i, h in enumerate(hs) if not i or h != hs[i - 1])
+
+
+@lru_cache(maxsize=None)
+def _arrangements(hs: tuple) -> Tuple[tuple, ...]:
+    """The distinct orderings of the sorted tuple hs."""
+    return tuple((h,) + tail for h, rest in _picks(hs) for tail in _arrangements(rest)) if hs else ((),)
 
 
 # -- dyadic forms -------------------------------------------------------------
 
-# ({(e_a, e_b, e_1, ..): c}, k) stands for sum c a^e_a b^e_b z_1^e_1 ... / 2^k
+# ({key: c}, k): coefficients c / 2^k; a key is e_a, then halved slot exponents
 Dyadic = Tuple[Dict[tuple, int], int]
 
 
-def _placed(form: Dyadic, slots: Sequence[int], width: int) -> Dyadic:
-    """The form with its slot j moved to exponent position slots[j]; slots
-    sent to one position are evaluated at the same variable."""
-    terms, shift = form
+@lru_cache(maxsize=None)
+def _shuffles(left: tuple, right: tuple) -> int:
+    """The ways to split the slots of sorted(left + right) so the first factor gets left."""
+    return prod(comb(left.count(h) + right.count(h), left.count(h)) for h in set(left))
+
+
+def _summed(parts: Sequence[Dyadic], sign: int = 1) -> Dyadic:
+    """sign times the sum of the parts over the largest shift, zeros dropped and common factors of 2 divided out."""
+    wide = max((shift for _, shift in parts), default=0)
     out: Dict[tuple, int] = defaultdict(int)
-    for exps, c in terms.items():
-        key = [exps[0], exps[1]] + [0] * (width - 2)
-        for pos, e in zip(slots, exps[2:]):
-            key[pos] += e
-        out[tuple(key)] += c
-    return out, shift
-
-
-def _times(x: Dyadic, y: Dyadic) -> Dyadic:
-    out: Dict[tuple, int] = defaultdict(int)
-    for ex, c in x[0].items():
-        for ey, d in y[0].items():
-            out[tuple(map(add, ex, ey))] += c * d
-    return out, x[1] + y[1]
-
-
-class _DyadicSum:
-    """A running sum of dyadic forms, kept over the largest shift seen."""
-
-    def __init__(self) -> None:
-        self.terms: Dict[tuple, int] = defaultdict(int)
-        self.shift = 0
-
-    def add(self, terms: Dict[tuple, int], shift: int, sign: int = 1) -> None:
-        if shift > self.shift:
-            for exps in self.terms:
-                self.terms[exps] <<= shift - self.shift
-            self.shift = shift
-        scale = sign << (self.shift - shift)
-        for exps, c in terms.items():
-            self.terms[exps] += c * scale
-
-    def result(self) -> Dyadic:
-        """The sum with zeros dropped and common factors of 2 divided out."""
-        terms = {exps: c for exps, c in self.terms.items() if c}
-        twos = min(((c & -c).bit_length() - 1 for c in terms.values()), default=0)
-        drop = min(twos, self.shift)
-        return {exps: c >> drop for exps, c in terms.items()}, self.shift - drop
+    for terms, shift in parts:
+        scale = sign << (wide - shift)
+        for key, c in terms.items():
+            out[key] += c * scale
+    drop = min([wide] + [(c & -c).bit_length() - 1 for c in out.values() if c])
+    return {key: c >> drop for key, c in out.items() if c}, wide - drop
 
 
 @lru_cache(maxsize=None)
@@ -267,9 +259,43 @@ def _residue_table(i: int, signs: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[in
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _halved_table(i: int, signs: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, tuple, int], ...]:
+    """_residue_table with its exponents halved into key entries; an odd one is a fault, never floored."""
+    table = _residue_table(i, signs)
+    if any(e % 2 for e0, ws, _ in table for e in (e0, *ws)):
+        raise EOInvariantError(f"odd slot exponent in the residues of z^{i} against {signs}")
+    return tuple((e0 // 2, tuple(w // 2 for w in ws), t) for e0, ws, t in table)
+
+
 NO_PAIR = ((),)
 BERGMAN_PAIR = ((1,), (-1,))  # 1/(z - w)^2 + 1/(z + w)^2
 BERGMAN_DOUBLE = ((1, -1), (-1, 1))  # the two orderings of w_{0,3}'s pair of Bergman kernels
+
+
+def _kernel_poly(dual: bool) -> LaurentPolynomial:
+    """(alpha z^2 - beta)(z^2 - 1)^2, the numerator of kappa; the dual chart swaps alpha and beta."""
+    alpha, beta = (BETA, ALPHA) if dual else (ALPHA, BETA)
+    z = LaurentPolynomial.variable("z")
+    return (alpha * z ** 2 - beta) * (z ** 2 - 1) ** 2
+
+
+@lru_cache(maxsize=None)
+def _kappa_table(dual: bool) -> Tuple[Tuple[int, int, int], ...]:
+    """2^KAPPA_SHIFT kappa(z) as integer (e_a, e_z, c) triples; e_b = -2 - e_a."""
+    kappa = _kernel_poly(dual) * HALF_INV_GAP2 * (1 << KAPPA_SHIFT)
+    return tuple((ea, ez, int(c)) for (ea, _, ez), c in kappa.terms())
+
+
+def _products(x: EOForm, y: EOForm) -> Dyadic:
+    """x(z, A) y(z, B) keyed (e_a, h_z, *sorted(A + B)), counting each way the slots split between x and y."""
+    out: Dict[tuple, int] = defaultdict(int)
+    ys = [(ky[0], ky[1], ky[2:], d) for ky, d in y.by_first_slot.items()]
+    for kx, c in x.by_first_slot.items():
+        ea, h, left = kx[0], kx[1], kx[2:]
+        for ey, hy, right, d in ys:
+            out[(ea + ey, h + hy) + tuple(sorted(left + right))] += c * d * _shuffles(left, right)
+    return out, x.shift + y.shift
 
 
 class EOEngine:
@@ -284,15 +310,9 @@ class EOEngine:
         self.alpha, self.beta = (BETA, ALPHA) if dual else (ALPHA, BETA)
         self._forms: Dict[Tuple[int, int], EOForm] = {}
         self._slot_table: Dict[int, Tuple[List[Vector], Iterator[Vector]]] = {}  # e -> (rows so far, the rest)
-        # 2^KAPPA_SHIFT kappa(z) with integer coefficients, keyed (e_a, e_b, e_z)
-        kappa = self._kernel_poly() * HALF_INV_GAP2 * (1 << KAPPA_SHIFT)
-        self._kappa = {exps: int(c) for exps, c in kappa.terms()}
+        self._kappa = _kappa_table(dual)
 
     # -- kernel ------------------------------------------------------------
-
-    def _kernel_poly(self) -> LaurentPolynomial:
-        z = LaurentPolynomial.variable("z")
-        return (self.alpha * z ** 2 - self.beta) * (z ** 2 - 1) ** 2
 
     def _kernel_chart_zero(self, out_name: str, order: int) -> TruncatedSeries:
         """K-hat expanded at z = 0 through z^(order-1): simple pole, spectator
@@ -302,7 +322,7 @@ class EOEngine:
             {2 * k: LaurentPolynomial.monomial(1, {out_name: -2 * k - 2}) for k in range(order // 2 + 1)},
             order,
         )
-        kernel = self._kernel_poly()
+        kernel = _kernel_poly(self.dual)
         # the kernel polynomial enters whole; the product keeps geom's window
         poly = TruncatedSeries.from_polynomial(kernel, "z", max(order, kernel.degree("z")))
         return (poly * geom).shift(-1) * HALF_INV_GAP2
@@ -340,74 +360,66 @@ class EOEngine:
             return self._forms[key]
         slot_names(n)  # rejects n > 9 before any recursion
 
-        # integrands are laid out (e_a, e_b, e_z, e_z2 .. e_zn); the residue
-        # puts z1 where the residue variable z was
-        width = n + 2
-        rest = range(3, width)
-        even = _DyadicSum()
+        # integrands are keyed (e_a, h_z, *spectators), the other slots a sorted multiset
+        parts: List[Dyadic] = []
 
         # recursion bracket, first kind: w_{g-1, n+1}(z, -z, rest) = w(z, z, rest)
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                even.add({(0, 0, -2) + (0,) * (n - 1): 1}, 2)
+                parts.append(({(0, -1): 1}, 2))
             else:
-                even.add(*_placed(self._dyadic(g - 1, n + 1), (2, 2, *rest), width))
+                form = self.omega(g - 1, n + 1)
+                diagonal: Dict[tuple, int] = defaultdict(int)
+                for exps, c in form.by_first_slot.items():
+                    for h, rest in _picks(exps[2:]):
+                        diagonal[(exps[0], exps[1] + h) + rest] += c
+                parts.append((diagonal, form.shift))
 
-        # second kind: stable x stable factorizations
+        # second kind: stable x stable factorizations, one term per pair of slot counts
         for g1 in range(g + 1):
-            g2 = g - g1
-            for r in range(len(rest) + 1):
-                for left in combinations(rest, r):
-                    right = [pos for pos in rest if pos not in left]
-                    n1, n2 = len(left) + 1, len(right) + 1
-                    if 2 * g1 - 2 + n1 <= 0 or 2 * g2 - 2 + n2 <= 0:
-                        continue
-                    f1 = _placed(self._dyadic(g1, n1), (2, *left), width)
-                    f2 = _placed(self._dyadic(g2, n2), (2, *right), width)
-                    even.add(*_times(f1, f2))
+            for n1 in range(1, n + 1):
+                g2, n2 = g - g1, n + 1 - n1
+                if 2 * g1 - 2 + n1 > 0 and 2 * g2 - 2 + n2 > 0:
+                    parts.append(_products(self.omega(g1, n1), self.omega(g2, n2)))
 
-        total = _DyadicSum()
-        total.add(*self._residues(even.result(), NO_PAIR), sign=-1)
+        outputs = [self._residues(_summed(parts), NO_PAIR)]
 
         # third kind: Bergman pairings with the remaining slots
         if (g, n) == (0, 3):
             # both factors are Bergman kernels (the first stable form)
-            total.add(*self._residues(({(0, 0, 0): 1}, 0), BERGMAN_DOUBLE), sign=-1)
-        elif rest and 2 * g - 2 + (n - 1) > 0:
+            outputs.append(self._residues(({(0, 0): 1}, 0), BERGMAN_DOUBLE))
+        elif n > 1 and 2 * g - 2 + (n - 1) > 0:
             # w_{g,n-1}(z, others) pairs with each remaining slot in turn
-            total.add(*self._residues(self._dyadic(g, n - 1), BERGMAN_PAIR, range(n - 1)), sign=-1)
+            form = self.omega(g, n - 1)
+            outputs.append(self._residues((form.by_first_slot, form.shift), BERGMAN_PAIR))
 
-        form = EOForm(g, n, *total.result())
+        form = EOForm(g, n, *_summed(outputs, sign=-1))
         form.check_invariants()
         self._forms[key] = form
         return form
 
-    def _dyadic(self, g: int, n: int) -> Dyadic:
-        form = self.omega(g, n)
-        return form.terms, form.shift
-
-    def _residues(self, integrand: Dyadic, signs, inserts: Sequence[int] = (0,)) -> Dyadic:
-        """(Res_{z->0} + Res_{z->infinity}) of K-hat(z1, z) F dz times
-        sum over sigma in signs of prod_r 1/(z - sigma_r w_r)^2.
-
-        F is laid out (e_a, e_b, e_z, e_1 .. e_q).  In the result z1 takes
-        the place of z, and w_1 .. w_m are inserted among F's spectators at
-        each index in inserts in turn, the results summed.
-        """
+    def _residues(self, integrand: Dyadic, signs) -> Dyadic:
+        """(Res_{z->0} + Res_{z->infinity}) of K-hat(z1, z) F dz times sum over sigma in signs of
+        prod_r 1/(z - sigma_r w_r)^2, only where z1 has the orbit's smallest exponent.  F is keyed
+        (e_a, h_z, *spectators); z1 takes z's place, a single w joins the spectators, and the
+        two w of w_{0,3} are its other slots."""
         terms, shift = integrand
-        kf: Dict[tuple, int] = defaultdict(int)  # kappa(z) F / z
-        for exps, c in terms.items():
-            ea, eb, ez = exps[:3]
-            tail = exps[3:]
-            for (ka, kb, kz), k in self._kappa.items():
-                kf[(ea + ka, eb + kb, ez + kz - 1) + tail] += c * k
+        kf: Dict[tuple, int] = defaultdict(int)  # kappa(z) F / z, keyed (e_a, e_z, *spectators)
+        for key, c in terms.items():
+            ea, ez, spect = key[0], 2 * key[1] - 1, key[2:]
+            for ka, kz, k in self._kappa:
+                kf[(ea + ka, ez + kz) + spect] += c * k
         out: Dict[tuple, int] = defaultdict(int)
-        for exps, c in kf.items():
-            tail = exps[3:]
-            for e0, ws, t in _residue_table(exps[2], signs):
-                head = exps[:2] + (e0,)
-                for q in inserts:
-                    out[head + tail[:q] + ws + tail[q:]] += c * t
+        for key, c in kf.items():
+            ea, spect = key[0], key[2:]
+            for h1, ws, t in _halved_table(key[1], signs):
+                if len(ws) == 1:  # w at each place among its equals gives the same sorted key
+                    lo, hi = bisect_left(spect, ws[0]), bisect_right(spect, ws[0])
+                    slots, ways = spect[:hi] + ws + spect[hi:], hi - lo + 1
+                else:  # no w, or w_{0,3}'s two in the order of a sorted key
+                    slots, ways = spect + ws, int(ws[:1] <= ws[1:])
+                if ways and (not slots or h1 <= slots[0]):
+                    out[(ea, h1) + slots] += c * t * ways
         return out, shift + KAPPA_SHIFT
 
     # -- x-picture conversion --------------------------------------------------
@@ -443,19 +455,23 @@ class EOEngine:
             h_prev, h = h, tuple(x - 4 * k * (k + 1) * y for x, y in zip(upper, lower))
 
     def to_x_series(self, g: int, n: int, order: int) -> NPointSeries:
-        """w_{g,n} contracted one slot at a time over nondecreasing index prefixes."""
+        """w_{g,n} contracted one slot at a time over nondecreasing index prefixes.
+
+        A partial sum is keyed by the orbit of the slots not yet contracted;
+        the next slot takes each distinct exponent of that orbit in turn."""
         out = NPointSeries(g, n, order)
-        terms, shift = self._dyadic(g, n)
+        form = self.omega(g, n)
+        terms, shift = form.terms, form.shift
         lo, hi = min(exps[0] for exps in terms), max(exps[0] for exps in terms)
         # partial sums are int vectors over the exponent of a; homogeneity fixes that of b
         state: Dict[tuple, list] = defaultdict(lambda: [0] * (hi - lo + 1))
         for exps, c in terms.items():
-            state[exps[2:]][exps[0] - lo] += c
-        slots = {}  # 2e -> the slot-table row of z^{2e} dz/dx, through the largest index
-        for ze in {ze for key in state for ze in key}:
-            rows, more = self._slot_table.setdefault(ze // 2, ([], self._slot_rows(ze // 2)))
+            state[exps[1:]][exps[0] - lo] += c
+        slots = {}  # e -> the slot-table row of z^{2e} dz/dx, through the largest index
+        for e in {e for key in state for e in key}:
+            rows, more = self._slot_table.setdefault(e, ([], self._slot_rows(e)))
             rows.extend(islice(more, max(order - 2 * n + 1 - len(rows), 0)))
-            slots[ze] = rows
+            slots[e] = rows
 
         def contract(state, prefix, budget):
             if len(prefix) == n:
@@ -474,7 +490,8 @@ class EOEngine:
             # grouped by the later slots, so each sum is reduced as soon as it is built
             by_rest: Dict[tuple, list] = {}
             for key, vec in state.items():
-                by_rest.setdefault(key[1:], []).append((slots[key[0]], vec))
+                for e, rest in _picks(key):
+                    by_rest.setdefault(rest, []).append((slots[e], vec))
             for k in range(prefix[-1] if prefix else 1, budget // (n - len(prefix))):
                 nxt = {rest: tuple(map(sum, zip(*(convolve(row[k - 1], vec) for row, vec in parts))))
                        for rest, parts in by_rest.items()}

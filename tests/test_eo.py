@@ -1,5 +1,9 @@
+import hashlib
+import json
+from collections import defaultdict
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice, permutations
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +12,15 @@ from dessin.eo import (
     BERGMAN_PAIR,
     BETA,
     HALF_INV_GAP2,
+    KAPPA_SHIFT,
     NO_PAIR,
     EOEngine,
     EOForm,
     EOInvariantError,
     W03_DISPLAY,
     W11_DISPLAY,
+    _halved_table,
+    _residue_table,
     bergman_kernel,
     slot_names,
     spectral_curve,
@@ -26,6 +33,7 @@ B = LaurentPolynomial.variable("b")
 S = LaurentPolynomial.variable("s")
 
 STABLE_RANGE = [(g, n) for g in range(3) for n in range(1, 7) if 0 < 2 * g - 2 + n <= 4]
+FORM_DIGESTS = Path(__file__).parent / "data" / "eo_forms.json"
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +83,10 @@ def test_unstable_forms_rejected(monkeypatch):
     def no_recursion(g, n):
         raise AssertionError(f"omega recursed into ({g},{n}) before rejecting its input")
 
-    monkeypatch.setattr(engine, "_dyadic", no_recursion)
+    monkeypatch.setattr(engine, "omega", no_recursion)  # the recursion reads lower forms through self.omega
     for g, n in [(0, 1), (0, 2), (0, 10), (1, 10)]:
         with pytest.raises(ValueError):
-            engine.omega(g, n)
+            EOEngine.omega(engine, g, n)
 
 
 def test_negative_genus_rejected(eo):
@@ -131,25 +139,135 @@ def test_bergman_kernel_designated_object():
 @pytest.mark.parametrize("g,n", STABLE_RANGE)
 def test_forms_even_symmetric_s_free(eo, g, n):
     form = eo.omega(g, n)
-    form.check_invariants()  # evenness, slot symmetry, no s
+    form.check_invariants()  # orbit representatives; evenness and slot symmetry hold by the key's shape
     assert "s" not in form.poly.alphabet
 
 
 def test_invariant_violation_is_hard_error():
-    # keys are (e_a, e_b, e_z1, e_z2, e_z3); a^-2 keeps each form homogeneous of degree -2
-    with pytest.raises(EOInvariantError, match="odd degree in z1"):
-        EOForm(0, 3, {(-2, 0, 1, 0, 0): 1}, 0).check_invariants()
-    with pytest.raises(EOInvariantError, match="not symmetric under z1 <-> z2"):
-        EOForm(0, 3, {(-2, 0, 2, 0, 0): 1, (-2, 0, 0, 2, 0): 2}, 0).check_invariants()  # z1^2 + 2 z2^2
-    with pytest.raises(EOInvariantError, match="not symmetric under z2 <-> z3"):
-        EOForm(0, 3, {(-2, 0, 2, 2, 0): 1}, 1).check_invariants()  # z1^2 z2^2 / 2
+    """What the orbit key cannot express: an odd slot exponent never becomes a
+    key entry, and each key is its orbit's sorted representative."""
+    assert _halved_table(-5, BERGMAN_PAIR) == tuple(
+        (e0 // 2, (w // 2,), t) for e0, (w,), t in _residue_table(-5, BERGMAN_PAIR))
+    # two Bergman factors with odd powers of w, (2 z w1^-3)(-2 z w2^-3) at z = 0, are no form's terms
+    assert any(e % 2 for _, ws, _ in _residue_table(-3, BERGMAN_DOUBLE) for e in ws)
+    with pytest.raises(EOInvariantError, match="odd slot exponent"):
+        _halved_table(-3, BERGMAN_DOUBLE)
+    with pytest.raises(EOInvariantError, match="not an orbit representative"):
+        EOForm(0, 3, {(-2, 1, 0, 0): 1}, 0).check_invariants()  # keyed as z1^2 alone: not sorted
 
 
 def test_inhomogeneous_form_is_hard_error():
-    EOForm(0, 3, {(-2, 0, 2, 2, 2): 1}, 0).check_invariants()  # degree -2 = -2(2g-2+n)
-    with pytest.raises(EOInvariantError, match="homogeneous"):
-        # even and symmetric, but of degrees -2 and -4 in (a, b)
-        EOForm(0, 3, {(-2, 0, 2, 2, 2): 1, (0, -4, 2, 2, 2): 1}, 0).check_invariants()
+    """A key holds no exponent of b, so every monomial of a form has (a, b)-degree
+    -2(2g-2+n); a key that carries its own e_b, as an inhomogeneous form would
+    need, is not an orbit representative."""
+    form = EOForm(0, 3, {(-2, 1, 1, 1): 1, (0, 1, 1, 1): 1}, 0)
+    form.check_invariants()
+    assert {exps[0] + exps[1] for exps, _ in form.poly.terms()} == {-2}
+    with pytest.raises(EOInvariantError, match="not an orbit representative"):
+        EOForm(0, 3, {(-2, 0, 1, 1, 1): 1, (0, -4, 1, 1, 1): 1}, 0).check_invariants()
+
+
+def test_kappa_is_built_once_per_chart():
+    assert EOEngine()._kappa is EOEngine()._kappa
+    assert EOEngine(dual=True)._kappa is EOEngine(dual=True)._kappa
+    assert EOEngine()._kappa != EOEngine(dual=True)._kappa
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_printed_forms_match_the_pinned_digests(eo, eo_dual, dual):
+    """Every stable form with 2g-2+n <= 5 prints the bytes pinned in tests/data/eo_forms.json."""
+    engine = eo_dual if dual else eo
+    pinned = json.loads(FORM_DIGESTS.read_text())
+    side = "dual" if dual else "plain"
+    cases = [(g, n) for g in range(4) for n in range(1, 8) if 0 < 2 * g - 2 + n <= 5]
+    assert sorted(key for key in pinned if key.startswith(side)) == sorted(f"{side} g={g} n={n}" for g, n in cases)
+    for g, n in cases:
+        text = json.dumps(engine.omega(g, n).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[f"{side} g={g} n={n}"], (g, n)
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (0, 3), (2, 2), (0, 6)])
+def test_json_text_matches_the_indenting_encoder(eo, g, n):
+    form = eo.omega(g, n)
+    assert form.json_text() == json.dumps(form.to_json(), indent=2)
+
+
+def _monomials(form):
+    """Every monomial of the form: ({(e_a, e_1, .., e_n): c}, shift), coefficients c / 2^shift."""
+    return {(key[0],) + tuple(2 * h for h in hs): c
+            for key, c in form.terms.items() for hs in set(permutations(key[1:]))}, form.shift
+
+
+def _summed(parts):
+    """Dyadic parts ({key: c}, shift) summed over the largest shift."""
+    wide = max(shift for _, shift in parts)
+    out = defaultdict(int)
+    for terms, shift in parts:
+        for key, c in terms.items():
+            out[key] += c << (wide - shift)
+    return out, wide
+
+
+def _as_fractions(terms, shift):
+    return {key: Fraction(c, 1 << shift) for key, c in terms.items() if c}
+
+
+def _rederived(engine, g, n):
+    """The residue step for w_{g,n} on whole monomials, every slot order kept,
+    from the engine's lower forms: {(e_a, e_1, .., e_n): coefficient}."""
+    parts = []  # the integrand F(z, z2..zn) as dyadic parts keyed (e_a, e_z, e_2, .., e_n)
+    if g >= 1 and (g - 1, n + 1) == (0, 2):
+        parts.append(({(0, -2): 1}, 2))  # w_{0,2}(z, -z) = 1/(4 z^2)
+    elif g >= 1:
+        terms, shift = _monomials(engine.omega(g - 1, n + 1))
+        diagonal = defaultdict(int)
+        for (ea, x, y, *rest), c in terms.items():
+            diagonal[(ea, x + y, *rest)] += c
+        parts.append((diagonal, shift))
+    for g1 in range(g + 1):
+        for r in range(n):
+            for left in combinations(range(n - 1), r):
+                right = [q for q in range(n - 1) if q not in left]
+                if 2 * g1 - 1 + r <= 0 or 2 * (g - g1) - 1 + len(right) <= 0:
+                    continue
+                (t1, s1), (t2, s2) = _monomials(engine.omega(g1, r + 1)), _monomials(engine.omega(g - g1, n - r))
+                product = defaultdict(int)
+                for (ea1, x, *a), c1 in t1.items():
+                    for (ea2, y, *b), c2 in t2.items():
+                        key = [ea1 + ea2, x + y] + [0] * (n - 1)
+                        for q, e in [*zip(left, a), *zip(right, b)]:
+                            key[2 + q] = e
+                        product[tuple(key)] += c1 * c2
+                parts.append((product, s1 + s2))
+
+    def residues(terms, shift, signs, place):
+        out = defaultdict(int)
+        for (ea, ez, *spectators), c in terms.items():
+            for ka, kz, k in engine._kappa:
+                for e0, ws, t in _residue_table(ez + kz - 1, signs):
+                    for key in place(ea + ka, e0, ws, spectators):
+                        out[key] -= c * k * t
+        return out, shift + KAPPA_SHIFT
+
+    outputs = [residues(*_summed(parts), NO_PAIR, lambda ea, e0, ws, spectators: [(ea, e0, *spectators)])]
+    if (g, n) == (0, 3):
+        outputs.append(residues({(0, 0): 1}, 0, BERGMAN_DOUBLE, lambda ea, e0, ws, spectators: [(ea, e0, *ws)]))
+    elif n > 1 and 2 * g - 3 + n > 0:
+        outputs.append(residues(*_monomials(engine.omega(g, n - 1)), BERGMAN_PAIR, lambda ea, e0, ws, spectators: [
+            (ea, e0, *spectators[:q], *ws, *spectators[q:]) for q in range(n - 1)]))
+    return _as_fractions(*_summed(outputs))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("g,n", [(0, 5), (0, 6), (1, 3), (2, 2)])
+def test_symmetry_holds_off_the_orbit_representatives(g, n, dual):
+    """The engine computes w_{g,n} only where z1 has the smallest exponent of
+    its orbit.  Taken on whole monomials, the residue step gives each other
+    slot order the same coefficient as its orbit's representative."""
+    engine = EOEngine(dual=dual)
+    rederived = _rederived(engine, g, n)
+    assert any(key[1] > min(key[2:]) for key in rederived)
+    assert rederived == _as_fractions(*_monomials(engine.omega(g, n)))
 
 
 def test_published_forms_keep_only_the_dyadic_form():
@@ -220,7 +338,8 @@ def test_main_theorem_order_twelve(eo, vir, g, n):
 
 
 @pytest.mark.parametrize("g,n,order,dual", [
-    (0, 6, 14, False), (2, 3, 14, False), (3, 1, 20, False), (3, 2, 16, False), (1, 2, 16, True)])
+    (0, 6, 14, False), (2, 3, 14, False), (3, 1, 20, False), (3, 2, 16, False), (1, 2, 16, True),
+    (0, 7, 14, False), (1, 6, 14, False), (2, 4, 14, False)])
 def test_main_theorem_deep_orders(eo, eo_dual, vir, g, n, order, dual):
     report = (eo_dual if dual else eo).verify_main_theorem(g, n, order, vir)
     assert report.passed, report.first_discrepancy
@@ -291,9 +410,13 @@ def test_residue_contraction_matches_series_residues(dual):
                 lambda p, sign, w: (p + 2, (p + 1) * LaurentPolynomial.monomial(sign ** p, {w: p})))
             expected = at_zero.coefficient(-1) + at_inf.coefficient(-1)
 
-            terms, shift = engine._residues(({(0, 0, j): 1}, 0), signs)
+            # kappa(z) z^(j-1) contracted against the closed-form table; kappa has (a, b)-degree -2
+            terms = defaultdict(int)
+            for ka, kz, k in engine._kappa:
+                for e0, ws, t in _residue_table(j + kz - 1, signs):
+                    terms[(ka, -2 - ka, e0) + ws] += k * t
             alphabet = ("a", "b", "z0", "w1", "w2")[: 3 + m]
-            got = LaurentPolynomial(alphabet, {e: Fraction(c, 1 << shift) for e, c in terms.items()})
+            got = LaurentPolynomial(alphabet, {e: Fraction(c, 1 << KAPPA_SHIFT) for e, c in terms.items()})
             assert got == expected, (signs, j)
 
 
@@ -303,12 +426,13 @@ def test_x_picture_edge_rejects_odd_powers_and_non_integers():
     breaks any of these is a hard error."""
     U, V = LaurentPolynomial.variable("u"), LaurentPolynomial.variable("v")
     engine = EOEngine()
-    terms, shift = engine._dyadic(0, 3)
+    form = engine.omega(0, 3)
+    terms, shift = form.terms, form.shift
     assert engine.to_x_series(0, 3, 6).coefficient((1, 1, 1)) == 2 * S ** 3 * U * V
     odd = dict(terms)
-    odd[(0, -2, 0, 0, 0)] = odd.get((0, -2, 0, 0, 0), 0) + (1 << shift)  # (2ab)^3 b^-2: integral, odd powers
+    odd[(0, 0, 0, 0)] = odd.get((0, 0, 0, 0), 0) + (1 << shift)  # (2ab)^3 b^-2: integral, odd powers
     # times u^4 / v^4: even, integral, of the right total degree, but with a negative power of v
-    shifted = {(exps[0] + 8, exps[1] - 8) + exps[2:]: c for exps, c in terms.items()}
+    shifted = {(exps[0] + 8,) + exps[1:]: c for exps, c in terms.items()}
     for doctored in ((odd, shift), (terms, shift + 2), (shifted, shift)):  # s^3 u v / 2 is not integral
         engine._forms[(0, 3)] = EOForm(0, 3, *doctored)
         with pytest.raises(EOInvariantError):
