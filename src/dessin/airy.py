@@ -7,27 +7,29 @@ the curve reads
     y^2 (s(sqrt(u) +- sqrt(v))^2 + xi^2)^2 = +- xi^2 (4 sqrt(uv) s +- xi^2).
 
 Solving for y gives an odd series in xi whose coefficients ("times") feed
-intersection-theoretic expansions.  The coefficient ring needs fourth
-roots and a square root of s, so this module owns a dedicated alphabet
+intersection-theoretic expansions.  They live over the alphabet
 
     qs = s^{1/2},  qa = u^{1/4},  qb = v^{1/4},  r = sqrt(u) +- sqrt(v),
 
-with r a formal symbol (its inverse powers appear in every coefficient;
-nothing here ever needs the relation r^2 = (qa^2 +- qb^2)^2, because the
-defining y^2 identity closes inside the Laurent ring as written above).
-On the minus branch (-sqrt(v))^{1/2} = i v^{1/4} with the principal
-branch, so those coefficients are Gaussian rationals; every checked
-consequence is insensitive to the global sign of i.
+with r a formal symbol (the y^2 identity closes without r^2 = (qa^2 +- qb^2)^2).
+On the minus branch (-sqrt(v))^{1/2} = i v^{1/4}, so those coefficients are
+Gaussian rationals; no checked consequence depends on the sign of i.
 
-The Bergman kernel written in the local coordinates of the plus branch
-expands through the integer triangle
+The Bergman kernel in the plus-branch coordinates expands through the integer
+triangle T(n,k) = 2 C(n,k)^2 C(2n+2,n) / C(2n+2,2k+1), with the identities
 
-    T(n,k) = 2 C(n,k)^2 C(2n+2,n) / C(2n+2,2k+1),
+    sqrt-product   1 - sqrt((1-ax)(1-bx)) = (a+b) x/2 + sum_n (b-a)^2 T_n(a,b) x^{n+2} / (8 4^n)
+    bergman-pp     x^2 + y^2 + 8 x^2 y^2 t + 2xy R = R ((x+y)^2 + (x^2-y^2)^2 S(t))
+    bergman-mixed  1 / (R (R + 4xyt)^2) = (R - 8xyt + 16 x^2 y^2 t^2 / R) / D^2
 
-whose generating identities (sqrt-product, same-branch kernel, and the
-mixed-branch three-term split) are verified here as exact truncated-series
-identities; the 1/(x-y)^2 singular part is cleared by cross-multiplying
-before comparing.
+where T_n(a,b) = sum_k T(n,k) a^k b^{n-k}, R = sqrt((1 + 4x^2 t)(1 + 4y^2 t)),
+D = 1 + 4(x^2 + y^2) t and S is the kernel tail; the 1/(x-y)^2 singular part is
+cleared by cross-multiplying.  As in ``closedforms``, every expansion is read off
+the integer rows of ``power_rows``, graded vectors multiplied by ``convolve``: the
+y coefficients are sums of monomials over the rows of (1 +- 4w)^{1/2}, sqrt-product
+is scaled x -> 4x so that both sides are integer rows, and bergman-mixed is checked
+multiplied through by R (R + 4xyt)^2, against 1.  A value becomes a polynomial only
+where it is compared, so a failure still prints one.
 """
 
 from __future__ import annotations
@@ -35,71 +37,52 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, List, Tuple
+from operator import add
+from typing import Dict, Iterator, List, Sequence, Tuple
 
+from .closedforms import power_rows
 from .coeffs import I
-from .laurent import LaurentPolynomial, mul_trunc, unit_pow_trunc
+from .laurent import LaurentPolynomial
+from .npoint import Vector, _add, convolve
 from .report import VerificationReport, run_comparisons
-from .series import TruncatedSeries
-
-QS = LaurentPolynomial.variable("qs")
-QA = LaurentPolynomial.variable("qa")
-QB = LaurentPolynomial.variable("qb")
-R = LaurentPolynomial.variable("r")
-
-XI = "xi"
 
 BRANCHES = ("plus", "minus")
+ALPHABET = ("qa", "qb", "qs", "r")
 
 
-def y_branch_series(branch: str, order: int) -> TruncatedSeries:
-    """y expanded in the local coordinate xi, an odd series.
+def y_branch_series(branch: str, order: int) -> Dict[int, LaurentPolynomial]:
+    """y expanded in the local coordinate xi: {k: the xi^k coefficient} for odd k <= order.
 
-    Built from xi * prefactor * (1 +- xi^2/(4 sqrt(uv) s))^{1/2}
-    / (1 + xi^2/(s r^2)), with prefactor (+-4 sqrt(uv) s)^{1/2} / (s r^2);
-    the minus branch picks up the imaginary unit from the square root of
-    the negative leading factor.
+    y = xi * prefactor * (1 +- 4w)^{1/2} / (1 + xi^2/(s r^2)) with
+    w = xi^2 / (16 sqrt(uv) s) and prefactor (+-4 sqrt(uv) s)^{1/2} / (s r^2);
+    the minus branch picks up the imaginary unit from the square root of the
+    negative leading factor.  With c_m the w^m row of the radical, the
+    xi^{2j+1} coefficient is the sum over m <= j of the monomials
+
+        2 c_m (-1)^(j-m) / 16^m  qa^(1-2m) qb^(1-2m) qs^(-1-2j) r^(-2-2(j-m)),
+
+    all distinct, so no coefficient vanishes.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     if order < 1:
         raise ValueError("order must be at least 1")
-    sign = 1 if branch == "plus" else -1
-    unit = 1 if branch == "plus" else I
-    prefactor = 2 * unit * QA * QB * LaurentPolynomial.monomial(1, {"qs": -1, "r": -2})
+    sign, unit = (1, 1) if branch == "plus" else (-1, I)
+    half = power_rows(-1, (4 * sign,), (), (order + 1) // 2)  # (1 +- 4w)^{1/2}
 
-    inner = max(order - 1, 2)
-    # (1 +- xi^2 / (4 sqrt(uv) s))^{1/2}
-    quarter_inv = LaurentPolynomial.monomial(Fraction(sign, 4), {"qa": -2, "qb": -2, "qs": -2})
-    sqrt_part = TruncatedSeries.from_map(XI, {0: 1, 2: quarter_inv}, inner).unit_pow(Fraction(1, 2))
-    # 1 / (1 + xi^2 / (s r^2)) as an exact geometric series
-    ratio_inv = LaurentPolynomial.monomial(1, {"qs": -2, "r": -2})
-    geom = TruncatedSeries.from_map(
-        XI, {2 * k: (-1) ** k * ratio_inv ** k for k in range(inner // 2 + 1)}, inner
-    )
-    return (sqrt_part * geom * prefactor).shift(1).truncated(order)
+    def monomials(j: int):
+        for m in range(j + 1):
+            exps = (1 - 2 * m, 1 - 2 * m, -1 - 2 * j, 2 * (m - j) - 2)  # over ALPHABET
+            yield exps, unit * Fraction(2 * (-1) ** (j - m) * half[m][0], 16 ** m)
+
+    return {2 * j + 1: LaurentPolynomial(ALPHABET, dict(monomials(j))) for j in range((order + 1) // 2)}
 
 
 def times(branch: str, k: int) -> LaurentPolynomial:
     """The xi^k coefficient of the local y expansion (zero for even k)."""
     if k < 1:
         raise ValueError("times index must be >= 1")
-    return y_branch_series(branch, k).coefficient(k)
-
-
-def y_square_reconstruction_comparisons(branch: str, order: int) -> Iterator:
-    """y^2 (s r^2 + xi^2)^2 against +- xi^2 (4 sqrt(uv) s +- xi^2), termwise."""
-    sign = 1 if branch == "plus" else -1
-    y = y_branch_series(branch, order)
-    sr2 = QS ** 2 * R ** 2
-    clearing = TruncatedSeries.from_map(XI, {0: sr2 * sr2, 2: 2 * sr2, 4: 1}, 2 * order)
-    lhs = y * y * clearing
-    four_abs = 4 * QA ** 2 * QB ** 2 * QS ** 2
-    rhs = TruncatedSeries.from_map(
-        XI, {2: sign * four_abs, 4: LaurentPolynomial.constant(1)}, 2 * order
-    )
-    for k in range(lhs.order + 1):
-        yield ((branch, k), rhs.coefficient(k), lhs.coefficient(k))
+    return y_branch_series(branch, k).get(k, LaurentPolynomial.zero())
 
 
 # -- the T(n,k) triangle ------------------------------------------------------
@@ -129,72 +112,85 @@ def t_row(n: int) -> TRow:
     return TRow(n, values)
 
 
-# -- kernel identities ---------------------------------------------------------
+# -- kernel identities on integer rows ------------------------------------------
+
+XY = ("x", "y")
+# (1 + 4x^2 t)(1 + 4y^2 t) = 1 + a1 t + a2 t^2, as the (a1, a2) that power_rows takes
+RADICAND = ((4, 0, 4), (0, 0, 16, 0, 0))
 
 
-def _kernel_tail(order: int, x: LaurentPolynomial, y: LaurentPolynomial) -> TruncatedSeries:
-    """S(t) = sum_{n>=0} (n+2)(-t)^{n+1} sum_k T(n,k) x^{2k} y^{2n-2k}."""
-    data = {}
+def _graded(names: Tuple[str, str], vec: Sequence[int], divisor: int = 1) -> LaurentPolynomial:
+    """sum_i vec[i] p^(d-i) q^i / divisor over names (p, q), with d = len(vec) - 1."""
+    d = len(vec) - 1
+    return LaurentPolynomial(names, {(d - i, i): Fraction(c, divisor) for i, c in enumerate(vec)})
+
+
+def _times(p: Sequence[Vector], q: Sequence[Vector]) -> List[Vector]:
+    """The product of two series given by graded rows, through the shorter one's last row."""
+    out = []
+    for j in range(min(len(p), len(q))):
+        acc = list(convolve(p[0], q[j]))
+        for i in range(1, j + 1):
+            _add(acc, convolve(p[i], q[j - i]))
+        out.append(tuple(acc))
+    return out
+
+
+def _t_vector(n: int) -> Vector:
+    """T_n(a, b) = sum_k T(n,k) a^k b^(n-k) as a graded vector: entry i is the coefficient of a^(n-i) b^i."""
+    return tuple(int(v) for v in reversed(t_row(n).values))
+
+
+def _kernel_tail(order: int) -> List[Vector]:
+    """Entry n is the t^(n+1) coefficient of the kernel tail
+
+        S(t) = sum_{n>=0} (n+2)(-t)^{n+1} sum_k T(n,k) x^{2k} y^{2n-2k},
+
+    a graded vector of degree 2n in (x, y)."""
+    tail = []
     for n in range(order):
-        row = LaurentPolynomial.zero()
-        for k in range(n + 1):
-            row = row + t_number(n, k) * x ** (2 * k) * y ** (2 * n - 2 * k)
-        data[n + 1] = (n + 2) * Fraction((-1) ** (n + 1)) * row
-    return TruncatedSeries.from_map("t", data, order)
+        row = [0] * (2 * n + 1)
+        row[::2] = [(n + 2) * (-1) ** (n + 1) * c for c in _t_vector(n)]
+        tail.append(tuple(row))
+    return tail
 
 
 def _check_sqrt_product(order: int) -> Iterator:
-    a = LaurentPolynomial.variable("a")
-    b = LaurentPolynomial.variable("b")
-    lhs = 1 - TruncatedSeries.from_map("x", {0: 1, 1: -a}, order).sqrt() * TruncatedSeries.from_map(
-        "x", {0: 1, 1: -b}, order
-    ).sqrt()
-    data = {1: Fraction(1, 2) * (a + b)}
-    for n in range(order - 1):
-        row = LaurentPolynomial.zero()
-        for k in range(n + 1):
-            row = row + t_number(n, k) * a ** k * b ** (n - k)
-        prev = data.get(n + 2, LaurentPolynomial.zero())
-        data[n + 2] = prev + Fraction(1, 8) * (b - a) ** 2 * row * Fraction(1, 4 ** n)
-    rhs = TruncatedSeries.from_map("x", data, order)
-    for j in range(order + 1):
-        yield (("x", j), rhs.coefficient(j), lhs.coefficient(j))
-
-
-def _radical_product(order: int, x: LaurentPolynomial, y: LaurentPolynomial) -> TruncatedSeries:
-    return (
-        TruncatedSeries.from_map("t", {0: 1, 1: 4 * x ** 2}, order)
-        * TruncatedSeries.from_map("t", {0: 1, 1: 4 * y ** 2}, order)
-    ).sqrt()
+    # scaled x -> 4x, sqrt((1-4ax)(1-4bx)) has integer rows: row j is 4^j times the x^j
+    # coefficient, and the scaled right side is 2(a+b) at j = 1 and 2(b-a)^2 T_(j-2) above
+    for j, row in enumerate(power_rows(-1, (-4, -4), (0, 16, 0), order + 1)):
+        actual = [int(j == 0) - c for c in row]
+        if j < 2:
+            expected = ((0,), (2, 2))[j]
+        else:
+            expected = tuple(2 * c for c in convolve((1, -2, 1), _t_vector(j - 2)))
+        yield (("x", j), _graded(("a", "b"), expected, 4 ** j), _graded(("a", "b"), actual, 4 ** j))
 
 
 def _check_bergman_pp(order: int) -> Iterator:
-    x = LaurentPolynomial.variable("x")
-    y = LaurentPolynomial.variable("y")
-    R_series = _radical_product(order, x, y)
-    poly_part = TruncatedSeries.from_map("t", {0: x ** 2 + y ** 2, 1: 8 * x ** 2 * y ** 2}, order)
-    lhs = poly_part + 2 * x * y * R_series
-    rhs = R_series * ((x + y) ** 2 + ((x ** 2 - y ** 2) ** 2) * _kernel_tail(order, x, y))
-    for j in range(order + 1):
-        yield (("t", j), rhs.coefficient(j), lhs.coefficient(j))
+    # the t^j coefficient of either side has degree 2j + 2 in (x, y)
+    R = power_rows(-1, *RADICAND, order + 1)
+    factor = [(1, 2, 1)] + [convolve((1, 0, -2, 0, 1), row) for row in _kernel_tail(order)]
+    for j, (row, rhs) in enumerate(zip(R, _times(R, factor))):
+        lhs = [2 * c for c in convolve((0, 1, 0), row)]
+        if j < 2:
+            _add(lhs, ((1, 0, 1), (0, 0, 8, 0, 0))[j])
+        yield (("t", j), _graded(XY, rhs), _graded(XY, lhs))
 
 
 def _check_bergman_mixed(order: int) -> Iterator:
-    x = LaurentPolynomial.variable("x")
-    y = LaurentPolynomial.variable("y")
-    t = LaurentPolynomial.variable("t")
-    R_series = _radical_product(order, x, y)
-    lin = TruncatedSeries.from_map("t", {1: 4 * x * y}, order)
-    lhs = (R_series * (R_series + lin) * (R_series + lin)).invert()
-    d = TruncatedSeries.from_map("t", {0: 1, 1: 4 * x ** 2 + 4 * y ** 2}, order)
-    inv_d2 = (d * d).invert()
-    rhs = (
-        R_series * inv_d2
-        - TruncatedSeries.from_map("t", {1: 8 * x * y}, order) * inv_d2
-        + TruncatedSeries.from_map("t", {2: 16 * x ** 2 * y ** 2}, order) * R_series.invert() * inv_d2
-    )
-    for j in range(order + 1):
-        yield (("t", j), rhs.coefficient(j), lhs.coefficient(j))
+    # the t^j coefficient of every factor has degree 2j in (x, y); lin = 4xyt
+    R, inv_R = power_rows(-1, *RADICAND, order + 1), power_rows(1, *RADICAND, order + 1)
+    inv_D2 = power_rows(4, RADICAND[0], (), order + 1)
+    lin = [(0,) * (2 * k + 1) for k in range(order + 1)]
+    lin[1] = (0, 4, 0)
+    rhs = [list(row) for row in _times(R, inv_D2)]
+    for acc, once, twice in zip(rhs, _times(lin, inv_D2), _times(_times(lin, lin), _times(inv_R, inv_D2))):
+        _add(acc, once, -2)
+        _add(acc, twice)
+    plus = [tuple(map(add, r, l)) for r, l in zip(R, lin)]
+    for j, row in enumerate(_times(_times(R, _times(plus, plus)), rhs)):
+        yield (("t", j), _graded(XY, (int(j == 0),) + (0,) * (2 * j)), _graded(XY, row))
 
 
 LOCAL_IDENTITIES = {
@@ -214,70 +210,3 @@ def local_identity_check(name: str, order: int) -> VerificationReport:
     if order < 2:
         raise ValueError("local identity checks need order >= 2")
     return run_comparisons(f"local:{name}", {"name": name, "order": order}, LOCAL_IDENTITIES[name](order))
-
-
-# -- Bergman kernel through the local coordinate substitution -------------------
-
-
-def _z_local_series(order: int) -> List[LaurentPolynomial]:
-    """Odd coefficients c_k of z(xi) = xi / (4 s sqrt(uv) + xi^2)^{1/2}, so
-    z = sum_k c_k xi^{2k+1}."""
-    inv_lead = LaurentPolynomial.monomial(Fraction(1, 2), {"qs": -1, "qa": -1, "qb": -1})
-    quarter_inv = LaurentPolynomial.monomial(Fraction(1, 4), {"qa": -2, "qb": -2, "qs": -2})
-    base = TruncatedSeries.from_map(XI, {0: 1, 2: quarter_inv}, 2 * order).unit_pow(Fraction(-1, 2))
-    return [inv_lead * base.coefficient(2 * k) for k in range(order + 1)]
-
-
-def bergman_local_match_report(order_per_var: int = 4) -> VerificationReport:
-    """dz1 dz2/(z1-z2)^2 in the plus-branch coordinates reproduces the
-    same-branch kernel expansion with t = 1/(16 s sqrt(uv)):
-
-        (xi1-xi2)^2 * B = 1 + (xi1-xi2)^2 * S(t)|_{x=xi1, y=xi2}.
-    """
-    x1, x2 = "xi1", "xi2"
-    X1, X2 = LaurentPolynomial.variable(x1), LaurentPolynomial.variable(x2)
-    bound = 2 * order_per_var + 2
-    cs = _z_local_series(bound // 2 + 1)
-
-    def h(m: int) -> LaurentPolynomial:
-        out = LaurentPolynomial.zero()
-        for i in range(m + 1):
-            out = out + X1 ** i * X2 ** (m - i)
-        return out
-
-    # (z1 - z2)/(xi1 - xi2) = sum_k c_k h_{2k}; dz_j/dxi_j termwise
-    q = LaurentPolynomial.zero()
-    d1 = LaurentPolynomial.zero()
-    d2 = LaurentPolynomial.zero()
-    for k, ck in enumerate(cs):
-        if 2 * k > bound:
-            break
-        q = q + ck * h(2 * k)
-        d1 = d1 + (2 * k + 1) * ck * X1 ** (2 * k)
-        d2 = d2 + (2 * k + 1) * ck * X2 ** (2 * k)
-    lead = cs[0]
-    unit_q = q * lead.inverse_monomial()
-    inv_q2 = unit_pow_trunc(mul_trunc(unit_q, unit_q, (x1, x2), bound), Fraction(-1), (x1, x2), bound)
-    lhs = mul_trunc(mul_trunc(d1, d2, (x1, x2), bound), inv_q2, (x1, x2), bound) * (
-        lead.inverse_monomial() ** 2
-    )
-
-    t_val = LaurentPolynomial.monomial(Fraction(1, 16), {"qs": -2, "qa": -2, "qb": -2})
-    tail = LaurentPolynomial.zero()
-    for n in range(order_per_var + 1):
-        row = LaurentPolynomial.zero()
-        for k in range(n + 1):
-            row = row + t_number(n, k) * X1 ** (2 * k) * X2 ** (2 * n - 2 * k)
-        tail = tail + (n + 2) * Fraction((-1) ** (n + 1)) * (t_val ** (n + 1)) * row
-    rhs = 1 + mul_trunc((X1 - X2) ** 2, tail, (x1, x2), bound)
-
-    def comparisons():
-        for e1 in range(order_per_var + 1):
-            for e2 in range(order_per_var + 1):
-                yield (
-                    (e1, e2),
-                    rhs.coefficient_of(x1, e1).coefficient_of(x2, e2),
-                    lhs.coefficient_of(x1, e1).coefficient_of(x2, e2),
-                )
-
-    return run_comparisons("local:bergman-substitution", {"order_per_var": order_per_var}, comparisons())

@@ -257,7 +257,11 @@ def cmd_npoint(args) -> int:
 
 def cmd_eo(args) -> int:
     form = EOEngine().omega(args.g, args.n)
-    print(form.json_text() if args.format == "json" else str(form.poly))
+    if args.format == "json":
+        sys.stdout.writelines(form.json_chunks())
+        sys.stdout.write("\n")
+    else:
+        print(form.poly)
     return 0
 
 

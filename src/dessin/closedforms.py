@@ -14,7 +14,8 @@ setting u = v = 1 collapses each row to a Catalan number.
 
 Every curve here is the square root of a radicand 1 + a1 w + a2 w^2, and
 every value is read off the integer rows of one recurrence for its powers,
-``power_rows``; a row or a value that is not integral is an internal fault.
+``power_rows`` (which ``airy`` and the branch-point checks read too); a row
+or a value that is not integral is an internal fault.
 Each dessin form is a small numerator times Delta^{-m/2}, m = -1, 1, 3 or 5.
 
 The catalog also carries the genus-zero one- and two-point functions of
@@ -104,9 +105,10 @@ def _exact(vec: Sequence[int], k: int, what: str) -> Vector:
 
 
 def power_rows(m: int, a1: Vector, a2: Vector, count: int) -> List[Vector]:
-    """Rows 0..count-1 of f^(-m/2), m odd, f = 1 + a1 w + a2 w^2 with a1 and
-    a2 graded vectors of degrees d and 2d (a2 may be empty): row k is the
-    w^k coefficient, of degree k d.  f g' = -(m/2) f' g gives g_0 = 1 and
+    """Rows 0..count-1 of f^(-m/2), f = 1 + a1 w + a2 w^2 with a1 and a2 graded
+    vectors of degrees d and 2d (a2 may be empty): row k is the w^k coefficient,
+    of degree k d.  m is any integer: odd m gives the radicals, and airy's
+    D^-2 is m = 4.  f g' = -(m/2) f' g gives g_0 = 1 and
     (J.C.P. Miller's recurrence for the powers of a series)
 
         2k g_k = -(m+2k-2) a1 g_{k-1} - 2(m+k-2) a2 g_{k-2}.

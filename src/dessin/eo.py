@@ -40,7 +40,7 @@ the key, and check_invariants checks that each key is an orbit representative.
 Integrands are keyed (e_a, h_z, *sorted spectators); the residue step keeps the
 outputs whose z1 exponent is the smallest of the orbit.  Orbits are expanded
 only where a slot is singled out (w(z, z, rest), the factorizations and the
-Bergman insertions, through by_first_slot) and for printing (sorted_terms).
+Bergman insertions, through by_first_slot) and for printing (sorted_blocks).
 
 The x-picture contracts the orbits one slot at a time against one integer table:
 the x^{-k-1} coefficient of z(x)^{2e} dz/dx, s^k times a homogeneous polynomial
@@ -59,12 +59,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, islice, product
 from math import comb, factorial, prod
-from operator import add
+from operator import add, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coeffs import format_coeff
 from .laurent import LaurentPolynomial
-from .npoint import NPointSeries, Vector, convolve, index_tuples
+from .npoint import NPointSeries, Vector, _add, convolve, index_tuples
 from .report import VerificationReport, run_comparisons
 from .series import TruncatedSeries
 from .virasoro import VirasoroEngine
@@ -169,27 +169,36 @@ class EOForm:
             if len(key) != self.n + 1 or list(key[1:]) != sorted(key[1:]):
                 raise EOInvariantError(f"w_{{{self.g},{self.n}}} key {key} is not an orbit representative")
 
-    def sorted_terms(self) -> List[tuple]:
-        """Each monomial as (e_a, e_b, e_1, .., e_n, "p/q"), in LaurentPolynomial.to_json's order."""
-        degree, terms = -2 * (2 * self.g - 2 + self.n), []
+    def sorted_blocks(self) -> Iterator[List[tuple]]:
+        """Each monomial as (e_a, e_b, e_1, .., e_n, "p/q"), in LaurentPolynomial.to_json's order:
+        one sorted block per leading pair (e_a, e_1), the blocks in order."""
+        degree, blocks = -2 * (2 * self.g - 2 + self.n), defaultdict(list)
         for key, c in self.terms.items():
-            head, text = (key[0], degree - key[0]), (format_coeff(Fraction(c, 1 << self.shift)),)
-            terms.extend([head + exps + text for exps in _arrangements(tuple(2 * h for h in key[1:]))])
-        terms.sort()
-        return terms
+            for h, rest in _picks(key[1:]):
+                blocks[key[0], h].append((rest, format_coeff(Fraction(c, 1 << self.shift))))
+        for ea, h in sorted(blocks):
+            head = (ea, degree - ea, 2 * h)
+            block = [head + exps + (text,) for rest, text in blocks.pop((ea, h))
+                     for exps in _arrangements(tuple(2 * x for x in rest))]
+            block.sort()
+            yield block
 
     def to_json(self) -> dict:
         """LaurentPolynomial.to_json's layout over (a, b, z1, .., zn), without building the polynomial."""
-        terms = [{"e": list(term[:-1]), "c": term[-1]} for term in self.sorted_terms()]
+        terms = [{"e": list(term[:-1]), "c": term[-1]} for block in self.sorted_blocks() for term in block]
         return {"g": self.g, "n": self.n, "form": {"alphabet": ["a", "b", *slot_names(self.n)], "terms": terms}}
 
-    def json_text(self) -> str:
-        """json.dumps(self.to_json(), indent=2) from one template per term: that encoder takes ~17 s on w_{0,8}."""
+    def json_chunks(self) -> Iterator[str]:
+        """json.dumps(self.to_json(), indent=2) written a block of sorted_blocks at a time, from one
+        template per term: that encoder takes ~17 s on w_{0,8}, whose text is 166 MB."""
         shell = {"g": self.g, "n": self.n, "form": {"alphabet": ["a", "b", *slot_names(self.n)], "terms": [None]}}
         head, tail = json.dumps(shell, indent=2).split("      null")  # the placeholder marks the terms' place
         exps = ",\n          ".join(["%d"] * (self.n + 2))
         term = '      {\n        "e": [\n          %s\n        ],\n        "c": "%%s"\n      }' % exps
-        return head + ",\n".join([term % values for values in self.sorted_terms()]) + tail
+        yield head
+        for i, block in enumerate(self.sorted_blocks()):
+            yield (",\n" if i else "") + ",\n".join([term % values for values in block])
+        yield tail
 
 
 @lru_cache(maxsize=None)
@@ -311,6 +320,7 @@ class EOEngine:
         self._forms: Dict[Tuple[int, int], EOForm] = {}
         self._slot_table: Dict[int, Tuple[List[Vector], Iterator[Vector]]] = {}  # e -> (rows so far, the rest)
         self._kappa = _kappa_table(dual)
+        self._gaps = ((1, 2, 1), (1, -2, 1)) if dual else ((1, -2, 1), (1, 2, 1))  # alpha, beta over (a, b)
 
     # -- kernel ------------------------------------------------------------
 
@@ -443,7 +453,7 @@ class EOEngine:
         - 4k(k+1) sigma2 h_{k-1}, with sigma1 = alpha+beta, sigma2 = alpha beta, c = (e-1/2) beta - (e+3/2) alpha.
         A binomial factor of f has at most 2j twos under its t^j coefficient, so 4^k f_k = 2^k h_k / k! is integral.
         """
-        alpha, beta = ((1, 2, 1), (1, -2, 1)) if self.dual else ((1, -2, 1), (1, 2, 1))  # (a -+ b)^2
+        alpha, beta = self._gaps
         sigma1, sigma2 = tuple(map(add, alpha, beta)), convolve(alpha, beta)
         c2 = [(2 * e - 1) * y - (2 * e + 3) * x for x, y in zip(alpha, beta)]
         half_gap = [(y - x) // 2 for x, y in zip(alpha, beta)]
@@ -518,31 +528,35 @@ class EOEngine:
 
     def curve_identity_report(self, order: int = 20) -> VerificationReport:
         """4 s^2 y(z)^2 x(z)^2 - (x(z)^2 - 2s(u+v) x(z) + s^2 (u-v)^2) = 0,
-        checked as series at both charts (via the pole-free product y*x)."""
+        checked as series at both charts (via the pole-free product y*x).
+
+        At z = 0, x = s (beta - alpha z^2) / (1 - z^2) and y x = (alpha - beta) z / (2 (1 - z^2));
+        in wt = 1/z at infinity alpha and beta trade places and y x changes sign.  Over s^2
+        each side's z^k coefficient is a degree-4 int vector in (a, b), and 1/(1 - z^2) is
+        the all-ones even row."""
         if order < 2:
             raise ValueError("the curve identity needs order >= 2")
-        uv_sum = A ** 2 + B ** 2
-        uv_diff2 = (A ** 2 - B ** 2) ** 2
+        alpha, beta = self._gaps
+        inv = [1 - k % 2 for k in range(order + 1)]
+        gap2 = convolve(*[tuple(map(sub, alpha, beta))] * 2)  # (alpha - beta)^2
+        # 4 s^2 (y x)^2 = s^2 (alpha - beta)^2 z^2 / (1 - z^2)^2
+        lhs = [(0,) * 5] * 2 + [tuple(w * c for c in gap2) for w in convolve(inv, inv)]
+
+        def over_s2(vec: Sequence[int]) -> LaurentPolynomial:
+            return LaurentPolynomial(("a", "b", "s"), {(4 - i, i, 2): c for i, c in enumerate(vec)})
 
         def comparisons():
-            for chart in ("zero", "infinity"):
-                var = "z" if chart == "zero" else "wt"
-                zz = LaurentPolynomial.variable(var)
-                if chart == "zero":
-                    # x = s(alpha z^2 - beta)/(z^2 - 1) = -s(alpha z^2 - beta)/(1 - z^2)
-                    num = -S * (self.alpha * zz ** 2 - self.beta)
-                    half_yx = Fraction(1, 2)
-                else:
-                    # x(1/wt) = s(alpha - beta wt^2)/(1 - wt^2)
-                    num = S * (self.alpha - self.beta * zz ** 2)
-                    half_yx = Fraction(-1, 2)
-                inv = TruncatedSeries.from_map(var, {0: 1, 2: -1}, order).invert()
-                x = TruncatedSeries.from_polynomial(num, var, order) * inv
-                yx = half_yx * TruncatedSeries.from_polynomial((self.alpha - self.beta) * zz, var, order) * inv
-                lhs = 4 * S ** 2 * yx * yx
-                rhs = x * x - 2 * S * uv_sum * x + S ** 2 * uv_diff2
+            for chart, (c0, c2) in (("zero", (beta, alpha)), ("infinity", (alpha, beta))):
+                # x / s = (c0 - c2 z^2) / (1 - z^2)
+                x = [tuple(i * p - j * q for p, q in zip(c0, c2)) for i, j in zip(inv, [0, 0] + inv)]
                 for k in range(order + 1):
-                    yield ((chart, k), rhs.coefficient(k), lhs.coefficient(k))
+                    rhs = [0] * 5
+                    for i in range(k + 1):
+                        _add(rhs, convolve(x[i], x[k - i]))
+                    _add(rhs, convolve((1, 0, 1), x[k]), -2)  # u + v = a^2 + b^2
+                    if k == 0:
+                        _add(rhs, (1, 0, -2, 0, 1))  # (u - v)^2
+                    yield ((chart, k), over_s2(rhs), over_s2(lhs[k]))
 
         return run_comparisons("curve-identity", {"order": order}, comparisons())
 

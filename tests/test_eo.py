@@ -189,7 +189,19 @@ def test_printed_forms_match_the_pinned_digests(eo, eo_dual, dual):
 @pytest.mark.parametrize("g,n", [(1, 1), (0, 3), (2, 2), (0, 6)])
 def test_json_text_matches_the_indenting_encoder(eo, g, n):
     form = eo.omega(g, n)
-    assert form.json_text() == json.dumps(form.to_json(), indent=2)
+    assert "".join(form.json_chunks()) == json.dumps(form.to_json(), indent=2)
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 2), (0, 5)])
+def test_json_chunks_join_to_the_indenting_encoder(eo, g, n):
+    """dessin eo writes one chunk per (e_a, e_1) block of the sorted terms, between the head and the tail."""
+    form = eo.omega(g, n)
+    chunks = list(form.json_chunks())
+    assert "".join(chunks) == json.dumps(form.to_json(), indent=2)
+    blocks = list(form.sorted_blocks())
+    assert len(chunks) == len(blocks) + 2 > 3
+    assert [len({term[:3] for term in block}) for block in blocks] == [1] * len(blocks)
+    assert [term for block in blocks for term in block] == sorted(term for block in blocks for term in block)
 
 
 def _monomials(form):
