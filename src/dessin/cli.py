@@ -51,11 +51,17 @@ def resolve_cache_dir(flag: Optional[str]) -> Path:
     return Path(".dessin-cache")
 
 
+def _stored_table(path: Path) -> Optional[CorrelatorTable]:
+    """The cache at ``path``, or None when there is none.  Opening is the
+    only test: a file removed by a concurrent ``cache clear`` reads as absent."""
+    try:
+        return CorrelatorTable.load(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+
+
 def load_engine(cache_dir: Path) -> VirasoroEngine:
-    path = cache_dir / CACHE_FILE
-    if path.exists():
-        return VirasoroEngine(CorrelatorTable.load(path))
-    return VirasoroEngine()
+    return VirasoroEngine(_stored_table(cache_dir / CACHE_FILE))
 
 
 def save_engine(cache_dir: Path, engine: VirasoroEngine) -> None:
@@ -361,19 +367,21 @@ def cmd_cache(args) -> int:
     cache_dir = resolve_cache_dir(args.cache)
     path = cache_dir / CACHE_FILE
     if args.action == "info":
-        entries = 0
-        if path.exists():
-            entries = len(CorrelatorTable.load(path))
+        table = _stored_table(path)
+        exists = table is not None
+        entries = len(table) if exists else 0
         emit(
-            {"path": str(path), "exists": path.exists(), "entries": entries},
+            {"path": str(path), "exists": exists, "entries": entries},
             args.format,
-            lambda p: f"{path}: {'%d entries' % entries if path.exists() else 'absent'}",
+            lambda p: f"{path}: {'%d entries' % entries if exists else 'absent'}",
         )
         return 0
     if args.action == "clear":
-        existed = path.exists()
-        if existed:
+        try:
             path.unlink()
+            existed = True
+        except (FileNotFoundError, NotADirectoryError):
+            existed = False
         emit({"path": str(path), "removed": existed}, args.format, lambda p: f"removed: {existed}")
         return 0
     if args.action == "warm":

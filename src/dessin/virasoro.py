@@ -32,8 +32,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import comb, factorial, prod
-from typing import Dict, Iterable, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import closedforms
 from .laurent import LaurentPolynomial
@@ -47,8 +49,9 @@ class CacheFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PartitionKey:
+class PartitionKey(NamedTuple):
+    """A memo key: a plain tuple, so hashing and equality run in C."""
+
     genus: int
     parts: Tuple[int, ...]
 
@@ -57,7 +60,7 @@ class PartitionKey:
         parts = tuple(sorted(parts))
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        if not parts or any(a < 1 for a in parts):
+        if not parts or parts[0] < 1:
             raise ValueError(f"parts must be a nonempty multiset of positive integers, got {parts}")
         return cls(genus, parts)
 
@@ -97,8 +100,7 @@ class CorrelatorTable:
         payload = {
             "version": CACHE_VERSION,
             "entries": [
-                {"g": key.genus, "parts": list(key.parts), "w": list(self.entries[key])}
-                for key in sorted(self.entries, key=lambda k: (k.genus, k.parts))
+                {"g": g, "parts": list(parts), "w": list(w)} for (g, parts), w in sorted(self.entries.items())
             ],
         }
         text = json.dumps(payload) + "\n"  # json.dump would take the pure-Python encoder
@@ -114,28 +116,40 @@ class CorrelatorTable:
 
     @classmethod
     def load(cls, path) -> "CorrelatorTable":
+        """Read a cache, checking every entry.  A missing file raises
+        FileNotFoundError (or NotADirectoryError), which is not corruption;
+        anything else that is wrong raises CacheFormatError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                payload = json.loads(fh.read())
+        except (FileNotFoundError, NotADirectoryError):
+            raise
+        except (OSError, ValueError) as exc:
             raise CacheFormatError(f"unreadable correlator cache {path}: {exc}") from exc
         version = payload.get("version") if isinstance(payload, dict) else None
         if version != CACHE_VERSION:
             raise CacheFormatError(f"correlator cache {path} has version {version!r}, expected "
                                    f"{CACHE_VERSION}; `dessin cache clear` removes it")
         table = cls()
+        entries, make = table.entries, PartitionKey.make
         try:
-            for entry in payload["entries"]:
-                g, parts = entry["g"], entry["parts"]
-                if type(g) is not int or any(type(a) is not int for a in parts):
-                    raise ValueError(f"genus and parts must be ints, got g={g!r}, parts={parts!r}")
-                key = PartitionKey.make(g, parts)
-                if key in table.entries:
-                    raise ValueError(f"{key} appears twice")
-                value = tuple(entry["w"])
-                if any(type(c) is not int for c in value) or value != value[::-1]:
-                    raise ValueError(f"{key} needs a u<->v symmetric vector of ints, got {entry['w']!r}")
-                table.put(key, value)
+            rows = list(map(itemgetter("g", "parts", "w"), payload["entries"]))
+            genera, part_lists, vectors = zip(*rows) if rows else ((), (), ())
+            # exact types in bulk: bools and floats hash equal to ints, so they must not pass
+            types = set(map(type, chain(genera, chain.from_iterable(part_lists), chain.from_iterable(vectors))))
+            if not types <= {int}:
+                found = ", ".join(sorted(t.__name__ for t in types - {int}))
+                raise ValueError(f"genus, parts and coefficients must be ints, found {found}")
+            for g, parts, w in rows:
+                key = make(g, parts)
+                value = tuple(w)
+                if len(value) != max(key.degree + 1, 0):
+                    raise ValueError(f"{key} has degree {key.degree}, got a vector of length {len(value)}")
+                if value != value[::-1]:
+                    raise ValueError(f"{key} needs a u<->v symmetric vector, got {w!r}")
+                entries[key] = value
+            if len(entries) != len(rows):
+                raise ValueError(f"{len(rows) - len(entries)} entries repeat a key")
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"corrupt correlator cache {path}: {exc}") from exc
         table.stored = len(table)

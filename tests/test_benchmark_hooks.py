@@ -9,8 +9,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_the_benchmark_tracer_installs():
+MEMO_COUNTERS = """
+import sys
+from layers import Tracer
+tracer = Tracer()
+tracer.install()
+from dessin.virasoro import CorrelatorTable, VirasoroEngine
+engine = VirasoroEngine()
+engine.npoint_series(1, 2, 8)
+counts = tracer.counts
+memo = ("virasoro.memo_hits", "virasoro.memo_misses", "virasoro.memo_entries")
+assert all(counts[name] > 0 for name in memo), {name: counts[name] for name in memo}
+engine.table.save(sys.argv[1])
+filled = counts["virasoro.memo_entries"]
+assert len(CorrelatorTable.load(sys.argv[1])) == len(engine.table) > 0
+assert counts["virasoro.memo_entries"] == filled, (filled, counts["virasoro.memo_entries"])
+"""
+
+
+def _run_traced(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
-    proc = subprocess.run([sys.executable, "-c", "from layers import Tracer; Tracer().install()"],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_benchmark_tracer_installs():
+    _run_traced("from layers import Tracer; Tracer().install()")
+
+
+def test_the_memo_counters_count_memo_traffic_and_not_cache_loads(tmp_path):
+    """The tracer counts memo traffic in CorrelatorTable.get and put; a _w that
+    read the table's dict directly would report zero without failing."""
+    _run_traced(MEMO_COUNTERS, str(tmp_path / "table.json"))

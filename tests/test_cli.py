@@ -287,6 +287,35 @@ def test_cache_info_and_clear(tmp_path, capsys):
     assert json.loads(out)["exists"] is False
 
 
+def _exists_before_a_concurrent_clear(monkeypatch):
+    """Path.exists says True, as it would just before another process's
+    `cache clear` removes the file; the directory is in fact empty."""
+    monkeypatch.setattr(Path, "exists", lambda self, **kwargs: True)
+
+
+def test_a_cache_removed_mid_query_reads_as_absent(tmp_path, capsys, monkeypatch):
+    _exists_before_a_concurrent_clear(monkeypatch)
+    code, out, err = run_cli(capsys, "correlator", "--genus", "0", "--parts", "2", "--cache", str(tmp_path))
+    assert (code, err) == (0, "")
+    S, U, V = (LaurentPolynomial.variable(n) for n in "suv")
+    assert LaurentPolynomial.from_json(json.loads(out)["poly"]) == S ** 2 * U * V * (U + V) / 2
+
+
+def test_cache_info_and_clear_on_a_cache_removed_mid_query(tmp_path, capsys, monkeypatch):
+    _exists_before_a_concurrent_clear(monkeypatch)
+    code, out, _ = run_cli(capsys, "cache", "info", "--cache", str(tmp_path))
+    assert code == 0 and json.loads(out) == {"path": str(tmp_path / cli.CACHE_FILE), "exists": False, "entries": 0}
+    code, out, _ = run_cli(capsys, "cache", "clear", "--cache", str(tmp_path))
+    assert code == 0 and json.loads(out)["removed"] is False
+
+
+def test_an_unreadable_cache_still_exits_two(tmp_path, capsys):
+    (tmp_path / cli.CACHE_FILE).mkdir()
+    code, _, err = run_cli(capsys, "correlator", "--genus", "0", "--parts", "1", "--cache", str(tmp_path))
+    assert code == 2
+    assert "unreadable correlator cache" in err
+
+
 def test_corrupt_cache_is_explicit_error(tmp_path, capsys):
     (tmp_path / "correlators.json").write_text("{broken")
     code, _, err = run_cli(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -313,6 +314,9 @@ BAD_CACHES = {
     "bool-part": {"version": 2, "entries": [{"g": 0, "parts": [True], "w": [0, 1, 0]}]},
     "duplicate-entry": {"version": 2, "entries": [{"g": 0, "parts": [2], "w": [0, 1, 1, 0]},
                                                   {"g": 0, "parts": [2], "w": [0, 7, 7, 0]}]},
+    "negative-genus": {"version": 2, "entries": [{"g": -1, "parts": [1], "w": [0, 1, 0]}]},
+    "zero-part": {"version": 2, "entries": [{"g": 0, "parts": [0, 1], "w": [0, 1, 0]}]},
+    "empty-parts": {"version": 2, "entries": [{"g": 0, "parts": [], "w": [0, 1, 0]}]},
 }
 
 
@@ -329,6 +333,103 @@ def test_cli_exits_two_on_bad_cache(tmp_path, capsys, name):
     (tmp_path / cli.CACHE_FILE).write_text(json.dumps(BAD_CACHES[name]))
     assert cli.main(["correlator", "--genus", "0", "--parts", "1", "--cache", str(tmp_path)]) == 2
     assert "correlator cache" in capsys.readouterr().err
+
+
+# The table a cache-stream run starts from: every (g, n, order) below filled.
+FULL_TARGETS = [(g, 1, 16) for g in range(3)] + [(g, n, 14) for n in (2, 3) for g in range(3)] + [
+    (g, 4, 14) for g in range(2)]
+# sha256 of the bytes CorrelatorTable.save writes for that table: cache
+# format v2, pinned so that a change to the key type cannot move it.
+FULL_TABLE_SHA256 = "d108cbf8365d8a8b9ff42987e0430f4da06efc7e4633ac4c6a82e3da16e1b03d"
+
+
+@pytest.fixture(scope="module")
+def full_table():
+    engine = VirasoroEngine()
+    for g, n, order in FULL_TARGETS:
+        engine.npoint_series(g, n, order)
+    return engine.table
+
+
+@pytest.fixture(scope="module")
+def full_entries(full_table, tmp_path_factory):
+    path = tmp_path_factory.mktemp("full") / "table.json"
+    full_table.save(path)
+    return json.loads(path.read_text())["entries"]
+
+
+def _edit(name, change):
+    return lambda entry: [dict(entry, **{name: change(entry[name])})]
+
+
+# Each BAD_CACHES kind, and the three key-contract kinds, as the entries that
+# replace one good entry.  w[0] is 0 in every stored vector and mirrors w[-1],
+# so the coefficient edits keep the length and the u<->v symmetry.
+ENTRY_CORRUPTIONS = {
+    "v1": lambda entry: [{"g": entry["g"], "parts": entry["parts"], "poly": [{"e": [1, 1, 1], "c": "1/1"}]}],
+    "not-an-object": lambda entry: [[]],
+    "wrong-length": _edit("w", lambda w: [0] + w + [0]),
+    "float-coefficient": _edit("w", lambda w: [0.0] + w[1:]),
+    "string-coefficient": _edit("w", lambda w: ["0"] + w[1:]),
+    "bool-coefficient": _edit("w", lambda w: [False] + w[1:]),
+    "not-palindromic": _edit("w", lambda w: [w[0] + 1] + w[1:]),
+    "float-genus": _edit("g", float),
+    "bool-genus": _edit("g", bool),
+    "float-part": _edit("parts", lambda parts: [float(parts[0])] + parts[1:]),
+    "bool-part": _edit("parts", lambda parts: [bool(parts[0])] + parts[1:]),
+    "duplicate-entry": lambda entry: [entry, dict(entry, w=[2 * c for c in entry["w"]])],
+    "negative-genus": _edit("g", lambda g: -1 - g),
+    "zero-part": _edit("parts", lambda parts: [0] + parts[1:]),
+    "empty-parts": _edit("parts", lambda parts: []),
+}
+
+
+def test_every_bad_cache_kind_has_an_entry_corruption():
+    assert set(ENTRY_CORRUPTIONS) == set(BAD_CACHES)
+
+
+def _corrupted_cache(full_entries, path, name, where):
+    entries = list(full_entries)
+    i = {"first": 0, "middle": len(entries) // 2, "last": len(entries) - 1}[where]
+    assert len(entries[i]["w"]) >= 2
+    entries[i : i + 1] = ENTRY_CORRUPTIONS[name](entries[i])
+    path.write_text(json.dumps({"version": 2, "entries": entries}))
+
+
+def test_the_full_size_cache_loads_unchanged(full_table, full_entries, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"version": 2, "entries": full_entries}))
+    assert len(full_entries) == len(full_table) >= 365
+    assert CorrelatorTable.load(path) == full_table
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("name", sorted(ENTRY_CORRUPTIONS))
+def test_full_size_cache_rejects_a_bad_entry_anywhere(full_entries, tmp_path, capsys, name, where):
+    _corrupted_cache(full_entries, tmp_path / cli.CACHE_FILE, name, where)
+    with pytest.raises(CacheFormatError):
+        CorrelatorTable.load(tmp_path / cli.CACHE_FILE)
+    assert cli.main(["correlator", "--genus", "0", "--parts", "1", "--cache", str(tmp_path)]) == 2
+    assert "correlator cache" in capsys.readouterr().err
+
+
+def test_saved_bytes_match_the_pinned_digest(full_table, tmp_path):
+    path = tmp_path / "table.json"
+    full_table.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_TABLE_SHA256
+
+
+def test_partition_key_contract():
+    key = PartitionKey.make(1, [3, 1, 2, 1])
+    assert key.parts == (1, 1, 2, 3) and key.genus == 1
+    assert key.degree == 7 - 4 + 2 - 2
+    assert repr(key) == "PartitionKey(genus=1, parts=(1, 1, 2, 3))"
+    assert key == PartitionKey.make(1, (1, 2, 3, 1)) and hash(key) == hash(PartitionKey.make(1, [2, 1, 3, 1]))
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        PartitionKey.make(-1, (1,))
+    for parts in [(), (0,), (2, 0), (3, -1, 2)]:
+        with pytest.raises(ValueError, match="nonempty multiset of positive integers"):
+            PartitionKey.make(0, parts)
 
 
 def test_cache_stores_integer_vectors(tmp_path):
