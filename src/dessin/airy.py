@@ -41,7 +41,7 @@ from operator import add
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .closedforms import power_rows
-from .coeffs import I
+from .coeffs import GaussianRational
 from .laurent import LaurentPolynomial
 from .npoint import Vector, _add, convolve
 from .report import VerificationReport, run_comparisons
@@ -67,13 +67,14 @@ def y_branch_series(branch: str, order: int) -> Dict[int, LaurentPolynomial]:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     if order < 1:
         raise ValueError("order must be at least 1")
-    sign, unit = (1, 1) if branch == "plus" else (-1, I)
+    sign = 1 if branch == "plus" else -1
     half = power_rows(-1, (4 * sign,), (), (order + 1) // 2)  # (1 +- 4w)^{1/2}
 
     def monomials(j: int):
         for m in range(j + 1):
             exps = (1 - 2 * m, 1 - 2 * m, -1 - 2 * j, 2 * (m - j) - 2)  # over ALPHABET
-            yield exps, unit * Fraction(2 * (-1) ** (j - m) * half[m][0], 16 ** m)
+            c = Fraction(2 * (-1) ** (j - m) * half[m][0], 16 ** m)
+            yield exps, c if sign > 0 else GaussianRational(0, c)
 
     return {2 * j + 1: LaurentPolynomial(ALPHABET, dict(monomials(j))) for j in range((order + 1) // 2)}
 

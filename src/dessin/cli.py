@@ -68,8 +68,11 @@ def save_engine(cache_dir: Path, engine: VirasoroEngine) -> None:
     """Write the table back only if it grew since it was loaded or saved."""
     if len(engine.table) == engine.table.stored:
         return
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    engine.table.save(cache_dir / CACHE_FILE)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        engine.table.save(cache_dir / CACHE_FILE)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"cannot write the correlator cache {cache_dir / CACHE_FILE}: {exc}") from exc
 
 
 # -- verification suites ----------------------------------------------------------
@@ -382,6 +385,8 @@ def cmd_cache(args) -> int:
             existed = True
         except (FileNotFoundError, NotADirectoryError):
             existed = False
+        except IsADirectoryError as exc:
+            raise UsageError(f"cannot clear the correlator cache {path}: {exc}") from exc
         emit({"path": str(path), "removed": existed}, args.format, lambda p: f"removed: {existed}")
         return 0
     if args.action == "warm":
@@ -484,11 +489,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    except (KeyError, ValueError, CacheFormatError) as exc:
+    except (UsageError, KeyError, ValueError, CacheFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

@@ -342,24 +342,26 @@ def gf_identity_check(name: str, order: int) -> VerificationReport:
 # -- catalog of neighbouring theories ------------------------------------------
 
 
+def _monomials(name: str, p: int, expected, actual) -> Tuple[LaurentPolynomial, LaurentPolynomial]:
+    """expected name^p and actual name^p, the two sides of one catalog check; a zero side is 0."""
+    return LaurentPolynomial.monomial(expected, {name: p}), LaurentPolynomial.monomial(actual, {name: p})
+
+
 def _check_wk_one(order: int) -> Iterator:
-    g0 = LaurentPolynomial.variable("g0")
     worder = 2 * order
     # f = 1 - g0 w^2 - sqrt(1 - 2 g0 w^2) = w * G^{WK}_{0,1}(1/w): at t = g0/2
     # the w^j coefficient is (lin - row j) t^{j/2}; nonzero ones sit at w^{2n+4}
     lin, rows = (1, 0, -2), power_rows(-1, *QUADRATIC, worder + 1)
     for j in range(worder + 1):
+        law = 0
         if j >= 4 and j % 2 == 0:
             n = (j - 4) // 2
-            expected = Fraction(odd_double_factorial(n), factorial(n + 2)) * g0 ** (n + 2)
-        else:
-            expected = LaurentPolynomial.zero()
+            law = Fraction(odd_double_factorial(n), factorial(n + 2))
         c = (lin[j] if j < 3 else 0) - rows[j][0]
-        yield (("w", j), expected, LaurentPolynomial.monomial(Fraction(c, 2 ** (j // 2)), {"g0": j // 2}))
+        yield (("w", j), *_monomials("g0", j // 2, law, Fraction(c, 2 ** (j // 2))))
 
 
 def _check_wk_two(order: int) -> Iterator:
-    g0 = LaurentPolynomial.variable("g0")
     wmax = 2 * order + 4
     # M sum_k (k+1) w1^{4+2k} w2^{-2k}, with M = (z1^2 + z2^2 - 4 g0) w1 w2 R(w1) R(w2)
     # - (w2/w1 + w1/w2) and R = (1 - 2 g0 w^2)^(-1/2).  In y = w^2 and t = g0/2,
@@ -372,89 +374,71 @@ def _check_wk_two(order: int) -> Iterator:
             raise AssertionError(f"WK double-pole subtraction left residue at ({2 * e1 - 1},{2 * e2 - 1})")
     for j1 in range(wmax + 1):
         for j2 in range(3, wmax + 1 - j1):
+            law = 0
             if j1 >= 3 and j1 % 2 == 1 and j2 % 2 == 1:
                 k, l = (j1 - 3) // 2, (j2 - 3) // 2
-                expected = (
-                    Fraction(odd_double_factorial(k) * odd_double_factorial(l))
-                    / (factorial(k) * factorial(l) * (k + l + 1))
-                ) * g0 ** (k + l + 1)
-            else:
-                expected = LaurentPolynomial.zero()
+                law = Fraction(odd_double_factorial(k) * odd_double_factorial(l),
+                               factorial(k) * factorial(l) * (k + l + 1))
             c = table.get(((j1 + 1) // 2, (j2 + 1) // 2), (0,))[0] if j1 % 2 and j2 % 2 else 0
             p = (j1 + j2 - 4) // 2
-            yield ((j1, j2), expected, LaurentPolynomial.monomial(c * Fraction(1, 2) ** p, {"g0": p}))
+            yield ((j1, j2), *_monomials("g0", p, law, c * Fraction(1, 2) ** p))
 
 
 def _check_hermitian_one(order: int) -> Iterator:
-    t = LaurentPolynomial.variable("t")
     worder = 2 * order
     # f = (1 - sqrt(1 - 4t w^2)) / 2 = w * G_{0,1}(1/w); the moment <p_m> sits at w^{m+2} of f,
     # so even moments give Catalan numbers at even powers and odd moments vanish
     rows = power_rows(-1, *QUADRATIC, worder + 1)
     for j in range(worder + 1):
-        if j >= 2 and j % 2 == 0:
-            n = (j - 2) // 2
-            expected = catalan(n) * t ** (n + 1)
-        else:
-            expected = LaurentPolynomial.zero()
-        yield (("w", j), expected, LaurentPolynomial.monomial(Fraction(int(j == 0) - rows[j][0], 2), {"t": j // 2}))
+        law = catalan((j - 2) // 2) if j >= 2 and j % 2 == 0 else 0
+        yield (("w", j), *_monomials("t", j // 2, law, Fraction(int(j == 0) - rows[j][0], 2)))
 
 
 def _check_hermitian_two(order: int) -> Iterator:
-    t = LaurentPolynomial.variable("t")
     wmax = 2 * order + 2
     # (num R(w1) R(w2) - 1) / 2 times the double pole, num = 1 - 4t w1 w2, R = (1 - 4t w^2)^(-1/2)
     table = _double_pole({**ONE, (1, 1): (-4,)}, ONE, power_rows(1, *QUADRATIC, wmax - 1))
     for j1 in range(wmax + 1):
         for j2 in range(wmax + 1 - j1):
-            expected = LaurentPolynomial.zero()
+            law = 0
             if j1 >= 2 and j2 >= 2 and (j1 % 2 == j2 % 2):
                 if j1 % 2 == 0:
                     m, n = (j1 - 2) // 2, (j2 - 2) // 2
-                    expected = (
-                        Fraction(factorial(2 * m + 1) * factorial(2 * n + 1))
-                        / (factorial(m) ** 2 * factorial(n) ** 2 * (m + n + 1))
-                    ) * t ** (m + n + 1)
+                    law = Fraction(factorial(2 * m + 1) * factorial(2 * n + 1),
+                                   factorial(m) ** 2 * factorial(n) ** 2 * (m + n + 1))
                 else:
                     m, n = (j1 - 3) // 2, (j2 - 3) // 2
-                    expected = (
-                        4 * Fraction(factorial(2 * m + 1) * factorial(2 * n + 1))
-                        / (factorial(m) ** 2 * factorial(n) ** 2 * (m + n + 2))
-                    ) * t ** (m + n + 2)
+                    law = 4 * Fraction(factorial(2 * m + 1) * factorial(2 * n + 1),
+                                       factorial(m) ** 2 * factorial(n) ** 2 * (m + n + 2))
             c = table.get((j1, j2), (0,))[0]
-            yield ((j1, j2), expected, LaurentPolynomial.monomial(Fraction(c, 2), {"t": (j1 + j2 - 2) // 2}))
+            yield ((j1, j2), *_monomials("t", (j1 + j2 - 2) // 2, law, Fraction(c, 2)))
 
 
 def _check_even_coupling_one(order: int) -> Iterator:
-    t = LaurentPolynomial.variable("t")
     # f = (1 - 2t w - sqrt(1 - 4t w)) / 4
     lin, rows = (1, -2), power_rows(-1, *LINEAR, order + 1)
     for j in range(order + 1):
-        if j >= 2:
-            expected = Fraction(factorial(2 * j - 2), 2 * factorial(j - 1) * factorial(j)) * t ** j
-        else:
-            expected = LaurentPolynomial.zero()
+        law = Fraction(factorial(2 * j - 2), 2 * factorial(j - 1) * factorial(j)) if j >= 2 else 0
         c = (lin[j] if j < 2 else 0) - rows[j][0]
-        yield (("w", j), expected, LaurentPolynomial.monomial(Fraction(c, 4), {"t": j}))
+        yield (("w", j), *_monomials("t", j, law, Fraction(c, 4)))
 
 
 def _check_even_coupling_two(order: int) -> Iterator:
-    t = LaurentPolynomial.variable("t")
     wmax = order + 2
     # (num R(w1) R(w2) - 1) / 2 times the double pole, num = 1 - 2t w1 - 2t w2, R = (1 - 4t w)^(-1/2)
     table = _double_pole({**ONE, (1, 0): (-2,), (0, 1): (-2,)}, ONE, power_rows(1, *LINEAR, wmax - 1))
     for j1 in range(wmax + 1):
         for j2 in range(wmax + 1 - j1):
-            expected = LaurentPolynomial.zero()
+            law = 0
             if j1 >= 2 and j2 >= 2:
                 m, n = j1 - 2, j2 - 2
-                expected = (
+                law = (
                     Fraction(2, m + n + 2)
                     * Fraction(factorial(2 * m + 1), factorial(m) ** 2)
                     * Fraction(factorial(2 * n + 1), factorial(n) ** 2)
-                ) * t ** (m + n + 2)
+                )
             c = table.get((j1, j2), (0,))[0]
-            yield ((j1, j2), expected, LaurentPolynomial.monomial(Fraction(c, 2), {"t": j1 + j2 - 2}))
+            yield ((j1, j2), *_monomials("t", j1 + j2 - 2, law, Fraction(c, 2)))
 
 
 def _check_dessin_one(order: int) -> Iterator:

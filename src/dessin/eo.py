@@ -69,26 +69,12 @@ from .report import VerificationReport, run_comparisons
 from .series import TruncatedSeries
 from .virasoro import VirasoroEngine
 
-A = LaurentPolynomial.variable("a")
-B = LaurentPolynomial.variable("b")
 S = LaurentPolynomial.variable("s")
 
-ALPHA = (A - B) ** 2
-BETA = (A + B) ** 2
-# 1 / (2 (alpha - beta)^2) = 1 / (32 a^2 b^2)
-HALF_INV_GAP2 = LaurentPolynomial.monomial(Fraction(1, 32), {"a": -2, "b": -2})
-KAPPA_SHIFT = 5  # HALF_INV_GAP2 = a^-2 b^-2 / 2^KAPPA_SHIFT
-
-# the displayed base differentials w_{0,3} and w_{1,1}
-W03_DISPLAY = (
-    BETA * LaurentPolynomial.monomial(1, {"z1": -2, "z2": -2, "z3": -2}) - ALPHA
-) * LaurentPolynomial.monomial(Fraction(1, 16), {"a": -2, "b": -2})
-W11_DISPLAY = LaurentPolynomial.monomial(Fraction(1, 128), {"a": -2, "b": -2}) * (
-    BETA * LaurentPolynomial.monomial(1, {"z1": -4})
-    - (2 * BETA + ALPHA) * LaurentPolynomial.monomial(1, {"z1": -2})
-    + (2 * ALPHA + BETA)
-    - ALPHA * LaurentPolynomial.variable("z1") ** 2
-)
+# alpha = (a - b)^2 and beta = (a + b)^2 as integer rows over (a^2, ab, b^2): every alpha and beta below
+GAPS = ((1, -2, 1), (1, 2, 1))
+ALPHA, BETA = (LaurentPolynomial(("a", "b"), {(2 - i, i): c for i, c in enumerate(row)}) for row in GAPS)
+KAPPA_SHIFT = 5  # 2 (alpha - beta)^2 = 2^KAPPA_SHIFT a^2 b^2
 
 
 class EOInvariantError(AssertionError):
@@ -150,7 +136,10 @@ class EOForm:
 
     @cached_property
     def poly(self) -> LaurentPolynomial:
-        return LaurentPolynomial.from_json(self.to_json()["form"])
+        degree = -2 * (2 * self.g - 2 + self.n)
+        return LaurentPolynomial(("a", "b", *slot_names(self.n)), {
+            (ea, degree - ea, *exps): Fraction(c, 1 << self.shift)
+            for (ea, *hs), c in self.terms.items() for exps in _arrangements(tuple(2 * h for h in hs))})
 
     @cached_property
     def by_first_slot(self) -> Dict[tuple, int]:
@@ -211,6 +200,21 @@ def _picks(hs: tuple) -> Tuple[Tuple[int, tuple], ...]:
 def _arrangements(hs: tuple) -> Tuple[tuple, ...]:
     """The distinct orderings of the sorted tuple hs."""
     return tuple((h,) + tail for h, rest in _picks(hs) for tail in _arrangements(rest)) if hs else ((),)
+
+
+def _over_gap(mixes: Dict[tuple, Tuple[int, int]], dual: bool = False) -> Dict[tuple, int]:
+    """{(e_a, *hs): c}: the integer coefficients of the sum over {hs: (p, q)} of (p alpha + q beta)
+    z_1^2h_1 .. z_n^2h_n / (a^2 b^2), e_b = -2 - e_a; the dual chart swaps alpha and beta."""
+    alpha, beta = GAPS[::-1] if dual else GAPS
+    return {(-i, *hs): c for hs, (p, q) in mixes.items()
+            for i, c in enumerate(p * x + q * y for x, y in zip(alpha, beta)) if c}
+
+
+# the displayed base differentials, integer tables over 2^4 and 2^7:
+#   w_{0,3} = (beta z1^-2 z2^-2 z3^-2 - alpha) / (16 a^2 b^2)
+#   w_{1,1} = (beta z1^-4 - (2 beta + alpha) z1^-2 + (2 alpha + beta) - alpha z1^2) / (128 a^2 b^2)
+W03_DISPLAY = EOForm(0, 3, _over_gap({(-1, -1, -1): (0, 1), (0, 0, 0): (-1, 0)}), 4).poly
+W11_DISPLAY = EOForm(1, 1, _over_gap({(-2,): (0, 1), (-1,): (-1, -2), (0,): (2, 1), (1,): (-1, 0)}), 7).poly
 
 
 # -- dyadic forms -------------------------------------------------------------
@@ -282,18 +286,12 @@ BERGMAN_PAIR = ((1,), (-1,))  # 1/(z - w)^2 + 1/(z + w)^2
 BERGMAN_DOUBLE = ((1, -1), (-1, 1))  # the two orderings of w_{0,3}'s pair of Bergman kernels
 
 
-def _kernel_poly(dual: bool) -> LaurentPolynomial:
-    """(alpha z^2 - beta)(z^2 - 1)^2, the numerator of kappa; the dual chart swaps alpha and beta."""
-    alpha, beta = (BETA, ALPHA) if dual else (ALPHA, BETA)
-    z = LaurentPolynomial.variable("z")
-    return (alpha * z ** 2 - beta) * (z ** 2 - 1) ** 2
-
-
 @lru_cache(maxsize=None)
 def _kappa_table(dual: bool) -> Tuple[Tuple[int, int, int], ...]:
-    """2^KAPPA_SHIFT kappa(z) as integer (e_a, e_z, c) triples; e_b = -2 - e_a."""
-    kappa = _kernel_poly(dual) * HALF_INV_GAP2 * (1 << KAPPA_SHIFT)
-    return tuple((ea, ez, int(c)) for (ea, _, ez), c in kappa.terms())
+    """2^KAPPA_SHIFT kappa(z) = (alpha z^2 - beta)(z^2 - 1)^2 / (a^2 b^2) as integer (e_a, e_z, c) triples,
+    e_b = -2 - e_a: the numerator is -beta + (alpha + 2 beta) z^2 - (2 alpha + beta) z^4 + alpha z^6."""
+    mixes = {(0,): (0, -1), (1,): (1, 2), (2,): (-2, -1), (3,): (1, 0)}
+    return tuple((ea, 2 * h, c) for (ea, h), c in _over_gap(mixes, dual).items())
 
 
 def _products(x: EOForm, y: EOForm) -> Dyadic:
@@ -320,7 +318,7 @@ class EOEngine:
         self._forms: Dict[Tuple[int, int], EOForm] = {}
         self._slot_table: Dict[int, Tuple[List[Vector], Iterator[Vector]]] = {}  # e -> (rows so far, the rest)
         self._kappa = _kappa_table(dual)
-        self._gaps = ((1, 2, 1), (1, -2, 1)) if dual else ((1, -2, 1), (1, 2, 1))  # alpha, beta over (a, b)
+        self._gaps = GAPS[::-1] if dual else GAPS  # alpha, beta over (a, b)
 
     # -- kernel ------------------------------------------------------------
 
@@ -332,10 +330,11 @@ class EOEngine:
             {2 * k: LaurentPolynomial.monomial(1, {out_name: -2 * k - 2}) for k in range(order // 2 + 1)},
             order,
         )
-        kernel = _kernel_poly(self.dual)
-        # the kernel polynomial enters whole; the product keeps geom's window
-        poly = TruncatedSeries.from_polynomial(kernel, "z", max(order, kernel.degree("z")))
-        return (poly * geom).shift(-1) * HALF_INV_GAP2
+        kappa = LaurentPolynomial(("a", "b", "z"), {
+            (ea, -2 - ea, ez): Fraction(c, 1 << KAPPA_SHIFT) for ea, ez, c in self._kappa})
+        # kappa enters whole; the product keeps geom's window
+        poly = TruncatedSeries.from_polynomial(kappa, "z", max(order, kappa.degree("z")))
+        return (poly * geom).shift(-1)
 
     def recursion_kernel_expansion(self, at: str, pos_degree_bound: int) -> TruncatedSeries:
         """Kernel series wide enough that residues against integrands of

@@ -136,14 +136,14 @@ class NPointSeries:
                 return key, self.coefficient(key), other.coefficient(key)
         return None
 
-    def to_json(self, alphabet=("s", "u", "v")) -> dict:
+    def to_json(self) -> dict:
         return {
             "genus": self.genus,
             "n": self.n,
             "order": self.order,
-            "alphabet": list(alphabet),
+            "alphabet": ["s", "u", "v"],
             "coefficients": [
-                {"indices": list(k), "poly": self.coefficient(k).to_json(alphabet)}
+                {"indices": list(k), "poly": self.coefficient(k).to_json(("s", "u", "v"))}
                 for k in self.keys()
             ],
         }

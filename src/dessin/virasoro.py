@@ -241,13 +241,12 @@ class VirasoroEngine:
         return out
 
     def one_point_all_genus(self, n: int) -> LaurentPolynomial:
-        """sum over genus of n * D_g(n); the degree law caps g at (n-1)//2."""
+        """sum over genus of W_g(n) = n * D_g(n), g <= (n-1)//2 by the degree law; genus g has
+        (u,v)-degree n + 1 - 2g, so no two genera share a monomial."""
         if n < 1:
             raise ValueError("one-point index must be positive")
-        acc = LaurentPolynomial.zero()
-        for g in range((n - 1) // 2 + 1):
-            acc = acc + self.raw_correlator(g, (n,))
-        return n * acc
+        vectors = [self._w(PartitionKey.make(g, (n,))) for g in range((n - 1) // 2 + 1)]
+        return LaurentPolynomial(("s", "u", "v"), {(n, len(w) - 1 - j, j): c for w in vectors for j, c in enumerate(w)})
 
     @staticmethod
     def kp_one_point(n: int) -> LaurentPolynomial:

@@ -316,6 +316,24 @@ def test_an_unreadable_cache_still_exits_two(tmp_path, capsys):
     assert "unreadable correlator cache" in err
 
 
+@pytest.mark.parametrize("argv", [["correlator", "--genus", "0", "--parts", "3"], ["cache", "warm"]])
+@pytest.mark.parametrize("cache", ["file", "file/sub"])
+def test_a_cache_path_through_a_regular_file_exits_two(argv, cache, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / cache
+    code, out, err = run_cli(capsys, *argv, "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write the correlator cache {path / cli.CACHE_FILE}: ")
+
+
+def test_clearing_a_cache_that_is_a_directory_exits_two(tmp_path, capsys):
+    (tmp_path / cli.CACHE_FILE).mkdir()
+    code, out, err = run_cli(capsys, "cache", "clear", "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot clear the correlator cache {tmp_path / cli.CACHE_FILE}: ")
+    assert (tmp_path / cli.CACHE_FILE).is_dir()
+
+
 def test_corrupt_cache_is_explicit_error(tmp_path, capsys):
     (tmp_path / "correlators.json").write_text("{broken")
     code, _, err = run_cli(

@@ -11,7 +11,6 @@ from dessin.eo import (
     BERGMAN_DOUBLE,
     BERGMAN_PAIR,
     BETA,
-    HALF_INV_GAP2,
     KAPPA_SHIFT,
     NO_PAIR,
     EOEngine,
@@ -20,6 +19,7 @@ from dessin.eo import (
     W03_DISPLAY,
     W11_DISPLAY,
     _halved_table,
+    _kappa_table,
     _residue_table,
     bergman_kernel,
     slot_names,
@@ -32,8 +32,13 @@ A = LaurentPolynomial.variable("a")
 B = LaurentPolynomial.variable("b")
 S = LaurentPolynomial.variable("s")
 
+# 1 / (2 (alpha - beta)^2) = 1 / (32 a^2 b^2)
+HALF_INV_GAP2 = LaurentPolynomial.monomial(Fraction(1, 32), {"a": -2, "b": -2})
+
 STABLE_RANGE = [(g, n) for g in range(3) for n in range(1, 7) if 0 < 2 * g - 2 + n <= 4]
 FORM_DIGESTS = Path(__file__).parent / "data" / "eo_forms.json"
+# the forms that file pins, under each chart
+PINNED_CASES = [(g, n) for g in range(4) for n in range(1, 8) if 0 < 2 * g - 2 + n <= 5]
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +79,30 @@ def test_w03_matches_display(eo):
 
 def test_w11_matches_display(eo):
     assert eo.omega(1, 1).poly == W11_DISPLAY
+
+
+def test_displays_are_the_displayed_formulas():
+    """The integer rows over 16 a^2 b^2 and 128 a^2 b^2 are the displayed formulas in alpha and beta."""
+    alpha, beta = (A - B) ** 2, (A + B) ** 2
+    z1, z2, z3 = (LaurentPolynomial.variable(name) for name in slot_names(3))
+    assert W03_DISPLAY == (beta * z1 ** -2 * z2 ** -2 * z3 ** -2 - alpha) * gap2_inverse(1)
+    assert W11_DISPLAY == gap2_inverse(8) * (
+        beta * z1 ** -4 - (2 * beta + alpha) * z1 ** -2 + (2 * alpha + beta) - alpha * z1 ** 2)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_kappa_table_is_the_kernel_numerator_over_the_gap(dual):
+    """The kappa table is 2^KAPPA_SHIFT (alpha z^2 - beta)(z^2 - 1)^2 / (2 (alpha - beta)^2), one
+    integer triple per monomial; the dual chart swaps alpha and beta."""
+    alpha, beta = (A - B) ** 2, (A + B) ** 2
+    if dual:
+        alpha, beta = beta, alpha
+    z = LaurentPolynomial.variable("z")
+    kappa = (alpha * z ** 2 - beta) * (z ** 2 - 1) ** 2 * HALF_INV_GAP2 * (1 << KAPPA_SHIFT)
+    table = _kappa_table(dual)
+    assert len({(ea, ez) for ea, ez, _ in table}) == len(table) == len(kappa)
+    assert all(type(c) is int for _, _, c in table)
+    assert LaurentPolynomial(("a", "b", "z"), {(ea, -2 - ea, ez): c for ea, ez, c in table}) == kappa
 
 
 def test_unstable_forms_rejected(monkeypatch):
@@ -179,9 +208,9 @@ def test_printed_forms_match_the_pinned_digests(eo, eo_dual, dual):
     engine = eo_dual if dual else eo
     pinned = json.loads(FORM_DIGESTS.read_text())
     side = "dual" if dual else "plain"
-    cases = [(g, n) for g in range(4) for n in range(1, 8) if 0 < 2 * g - 2 + n <= 5]
-    assert sorted(key for key in pinned if key.startswith(side)) == sorted(f"{side} g={g} n={n}" for g, n in cases)
-    for g, n in cases:
+    assert sorted(key for key in pinned if key.startswith(side)) == sorted(
+        f"{side} g={g} n={n}" for g, n in PINNED_CASES)
+    for g, n in PINNED_CASES:
         text = json.dumps(engine.omega(g, n).to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == pinned[f"{side} g={g} n={n}"], (g, n)
 
@@ -283,7 +312,8 @@ def test_symmetry_holds_off_the_orbit_representatives(g, n, dual):
 
 
 def test_published_forms_keep_only_the_dyadic_form():
-    """Computing and checking forms never builds their polynomial; printing does."""
+    """Computing and checking forms never builds their polynomial; printing does, with the
+    terms of the JSON layout, for every pinned form under both charts."""
     engine = EOEngine()
     assert engine.verify_main_theorem(0, 6, 12).passed
     assert len(engine._forms) > 1
@@ -291,6 +321,10 @@ def test_published_forms_keep_only_the_dyadic_form():
     form = engine.omega(1, 1)
     assert form.to_json()["form"] == form.poly.to_json(("a", "b", "z1"))
     assert "poly" in form.__dict__
+    for chart in (EOEngine(), EOEngine(dual=True)):
+        for g, n in PINNED_CASES:
+            form = chart.omega(g, n)
+            assert form.to_json()["form"] == form.poly.to_json(("a", "b", *slot_names(n))), (chart.dual, g, n)
 
 
 @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (0, 5), (1, 3), (2, 2)])

@@ -109,6 +109,14 @@ def test_one_point_all_genus_small(vir):
     assert vir.one_point_all_genus(3) == S ** 3 * U * V * (U ** 2 + 3 * U * V + V ** 2 + 1)
 
 
+def test_one_point_all_genus_is_n_times_the_sum_of_raw_correlators(vir):
+    for n in range(1, 13):
+        total = LaurentPolynomial.zero()
+        for g in range((n - 1) // 2 + 1):
+            total = total + vir.raw_correlator(g, (n,))
+        assert vir.one_point_all_genus(n) == n * total, n
+
+
 def test_kp_formula_values(vir):
     assert vir.kp_one_point(1) == S * U * V
     # direct two-term evaluation of the finite sum
