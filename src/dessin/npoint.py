@@ -137,15 +137,19 @@ class NPointSeries:
         return None
 
     def to_json(self) -> dict:
+        """Each coefficient as ``LaurentPolynomial.to_json`` over (s, u, v) writes it, read
+        straight off the vector: terms in increasing u-degree, zero terms left out."""
+        def poly(key: IndexTuple, vec: Vector) -> dict:
+            total, d = sum(key), len(vec) - 1
+            return {"alphabet": ["s", "u", "v"],
+                    "terms": [{"e": [total, d - j, j], "c": f"{vec[j]}/1"} for j in range(d, -1, -1) if vec[j]]}
+
         return {
             "genus": self.genus,
             "n": self.n,
             "order": self.order,
             "alphabet": ["s", "u", "v"],
-            "coefficients": [
-                {"indices": list(k), "poly": self.coefficient(k).to_json(("s", "u", "v"))}
-                for k in self.keys()
-            ],
+            "coefficients": [{"indices": list(k), "poly": poly(k, self.coefficients[k])} for k in self.keys()],
         }
 
     @classmethod

@@ -16,12 +16,27 @@ the default eliminates the smallest part, which fills far fewer memo
 entries than "largest", kept so tests can confirm strategy independence.
 
 W_g(A) / s^{|A|} is an integer polynomial in (u, v), homogeneous of degree
-d = |A| - n + 2 - 2g, stored as the tuple of ints whose entry j is the
-coefficient of u^{d-j} v^j (empty when d < 0).  The grading thus holds by
-construction, not by assertion: every term of the recursion is a vector
-of the target's length, and the table rejects any other length.  Nonzero
-values are divisible by u v, so W_g({n}) = 0 once 2g > n - 1, which
-truncates all-genus one-point sums.
+d = |A| - n + 2 - 2g, stored in the table as the tuple of ints whose entry j
+is the coefficient of u^{d-j} v^j (empty when d < 0).  The grading thus
+holds by construction, not by assertion: the table rejects any other
+length.  Nonzero values are divisible by u v, so W_g({n}) = 0 once
+2g > n - 1, which truncates all-genus one-point sums.
+
+The recursion itself runs on one integer per entry (Kronecker
+substitution): P = W(1, X) at X = 2^k, so entry j of the vector is the
+k-bit slot j of P.  The constraints are linear over Z[u, v], so a join term
+is c * P, the (u+v) shift is P + (P << k) and a factor term is
+mult * P1 * P2.  Every coefficient is nonnegative (the constraints add
+products of nonnegative values to the seed), so S = W(1, 1), carried along
+by the same operations, bounds every coefficient of the entry and of each
+partial sum that built it.  An entry is accepted only if S < 2^k, which
+certifies that no slot overflowed into its neighbour; a larger S widens the
+slots, repacks the memo from the table's vectors and evaluates the entry
+again.  Each new entry is unpacked once into the table, so callers and the
+cache see only vectors, and a vector read from a cache file is packed only
+when it feeds the recursion.  The memo is filled from an explicit work
+stack, so the depth of a query is bounded by memory, not by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -172,6 +187,23 @@ def _multiset_splits(parts: Tuple[int, ...]):
     return splits
 
 
+SEED = (0, (1,))  # W_0(1) = s u v, the one value no constraint produces
+
+
+def _pack(vec: Vector, k: int) -> int:
+    """sum_j vec[j] 2^(k j): the vector's polynomial at u = 1, v = 2^k."""
+    value = 0
+    for c in reversed(vec):
+        value = (value << k) + c
+    return value
+
+
+def _unpack(value: int, k: int, length: int) -> Vector:
+    """The inverse of ``_pack`` for entries in [0, 2^k)."""
+    mask = (1 << k) - 1
+    return tuple([(value >> (k * j)) & mask for j in range(length)])
+
+
 class VirasoroEngine:
     """Correlator computations driven by one memo table (single writer)."""
 
@@ -180,64 +212,153 @@ class VirasoroEngine:
             raise ValueError("strategy must be 'largest' or 'smallest'")
         self.table = table if table is not None else CorrelatorTable()
         self.strategy = strategy
+        # the slot width k of the packed memo; it only grows, and any start is exact
+        self.bits = 64
+        # (g, parts) -> (W(1, 2^bits), W(1, 1)) for every entry the recursion has read
+        self._packed: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, int]] = {}
         self._op_forms: Dict[Tuple[int, int, int], NPointSeries] = {}
 
     # -- the recursion -----------------------------------------------------
 
     def raw_correlator(self, g: int, parts: Iterable[int]) -> LaurentPolynomial:
         key = PartitionKey.make(g, parts)
-        return as_polynomial(sum(key.parts), self._w(key), prod(key.parts))
+        return as_polynomial(sum(key.parts), self._vector(key), prod(key.parts))
 
     def weighted_correlator(self, g: int, parts: Iterable[int]) -> LaurentPolynomial:
         key = PartitionKey.make(g, parts)
-        return as_polynomial(sum(key.parts), self._w(key))
+        return as_polynomial(sum(key.parts), self._vector(key))
 
-    def _w(self, key: PartitionKey) -> Vector:
-        d = key.degree
-        if d < 0:
+    def _vector(self, key: PartitionKey) -> Vector:
+        """W_g(A) as a vector: one table read, and on a miss a fill of the packed memo."""
+        if key.degree < 0:
             return ()
-        cached = self.table.get(key)
-        if cached is not None:
-            return cached
-        g, parts = key.genus, key.parts
+        value = self.table.get(key)
+        if value is None:
+            self._fill(key)
+            value = self.table.entries[key]
+        return value
+
+    def _fill(self, target: PartitionKey) -> None:
+        """Compute target and every entry it needs, depth first from an explicit
+        stack.  A frame whose terms are built waits for its inputs, which sit
+        above it.  A vector the table already holds is packed as it is read, at
+        any weight: a packed value is the exact integer W(1, 2^bits) even when a
+        slot spills, and only unpacking needs the certificate, which every entry
+        that reads this one checks for itself."""
+        packed, entries = self._packed, self.table.entries
+        stack = [(target, None)]
+        while stack:
+            key, terms = stack.pop()
+            if terms is not None:
+                self._compute(key, terms)
+            elif key in packed:
+                continue
+            elif key in entries:
+                vec = entries[key]
+                if min(vec, default=0) < 0:  # then S bounds nothing
+                    raise CacheFormatError(f"the cached value of {key} has a negative coefficient, "
+                                           f"which no correlator has: {vec!r}")
+                packed[key] = (_pack(vec, self.bits), sum(vec))
+            else:
+                terms = self._terms(key)
+                stack.append((key, terms))
+                stack.extend((dep, None) for dep in terms[-1] if dep not in packed)
+
+    def _terms(self, key: Tuple[int, Tuple[int, ...]]):
+        """The constraint for key as (linear, shift, factors, inputs): linear maps
+        an input to its integer coefficient, shift is the input multiplied by
+        (u+v) or None, factors maps a sorted pair of inputs to the multiplicity
+        of their product.  inputs holds every key of nonnegative degree that the
+        constraint names, also where its partner factor vanishes, so the memo
+        fills the same entries as a recursive evaluation would."""
+        g, parts = key
+        d = sum(parts) - len(parts) + 2 - 2 * g
         pivot = 0 if self.strategy == "smallest" else len(parts) - 1
         rest = parts[:pivot] + parts[pivot + 1 :]
         m = parts[pivot] - 1
-        acc = [0] * (d + 1)
-        if g == 0 and parts == (1,):
-            acc[1] = 1
+        linear: Dict[tuple, int] = {}
         # join terms: merge the eliminated part into one spectator
-        for a, count in Counter(rest).items():
-            reduced = list(rest)
-            reduced.remove(a)
-            _add(acc, self._w(PartitionKey.make(g, tuple(reduced) + (a + m,))), count * a)
-        # dilaton-type term: times (u+v) is a shift by one
-        if m >= 1:
-            w = self._w(PartitionKey.make(g, rest + (m,)))
-            _add(acc, tuple(a + b for a, b in zip(w + (0,), (0,) + w)))
-        # genus-lowering term
+        for a in dict.fromkeys(rest):
+            i = rest.index(a)
+            join = (g, tuple(sorted(rest[:i] + rest[i + 1 :] + (a + m,))))
+            linear[join] = linear.get(join, 0) + rest.count(a) * a
+        # genus-lowering term: {k, m-k} and {m-k, k} are one key
         if g >= 1:
-            for k in range(1, m):
-                _add(acc, self._w(PartitionKey.make(g - 1, rest + (k, m - k))))
-        # factorization term over genus and spectator splits
+            for k in range(1, m // 2 + 1):
+                lowered = (g - 1, tuple(sorted(rest + (k, m - k))))
+                linear[lowered] = linear.get(lowered, 0) + (1 if 2 * k == m else 2)
+        # dilaton-type term: times (u+v), of degree d - 1
+        shift = (g, tuple(sorted(rest + (m,)))) if m >= 1 and d >= 1 else None
+        inputs = set(linear)
+        if shift is not None:
+            inputs.add(shift)
+        # factorization term over genus and spectator splits.  The term at (k, g1, I1, I2)
+        # and its mirror at (m-k, g-g1, I2, I1) multiply the same pair, so only the
+        # smaller of the two is built, with twice its multiplicity.
+        factors: Dict[tuple, int] = {}
         if m >= 2:
-            splits = _multiset_splits(rest)
-            for k in range(1, m):
-                for g1 in range(g + 1):
-                    for left, right, mult in splits:
-                        w1 = self._w(PartitionKey.make(g1, left + (k,)))
-                        w2 = self._w(PartitionKey.make(g - g1, right + (m - k,)))
-                        _add(acc, convolve(w1, w2), mult)
-        value = tuple(acc)
-        self.table.put(key, value)
-        return value
+            for left, right, mult in _multiset_splits(rest):
+                low = sum(left) - len(left) + 1
+                for k in range(1, m):
+                    side = (k, left)
+                    other = (m - k, right)
+                    if side > other:
+                        continue
+                    first_parts, second_parts = tuple(sorted(left + (k,))), tuple(sorted(right + (m - k,)))
+                    for g1 in range(g + 1 if side < other else g // 2 + 1):
+                        d1 = low + k - 2 * g1
+                        first, second = (g1, first_parts), (g - g1, second_parts)
+                        if d1 >= 0:
+                            inputs.add(first)
+                        if d1 <= d:
+                            inputs.add(second)
+                        if 0 <= d1 <= d:
+                            pair = (first, second) if first <= second else (second, first)
+                            weight = mult if side == other and 2 * g1 == g else 2 * mult
+                            factors[pair] = factors.get(pair, 0) + weight
+        return linear, shift, factors, inputs
+
+    def _compute(self, key: Tuple[int, Tuple[int, ...]], terms) -> None:
+        """Evaluate the constraint at (u, v) = (1, 2^bits) and at (1, 1) at once;
+        the packed value P is accepted only under its certificate S < 2^bits."""
+        linear, shift, factors, _ = terms
+        packed = self._packed
+        while True:
+            k = self.bits
+            p_sum, s_sum = (1 << k, 1) if key == SEED else (0, 0)
+            for dep, c in linear.items():
+                p, s = packed[dep]
+                p_sum += c * p
+                s_sum += c * s
+            if shift is not None:
+                p, s = packed[shift]
+                p_sum += p + (p << k)
+                s_sum += 2 * s
+            for (first, second), c in factors.items():
+                p1, s1 = packed[first]
+                p2, s2 = packed[second]
+                p_sum += c * p1 * p2
+                s_sum += c * s1 * s2
+            if s_sum < 1 << k:
+                break
+            self._repack(s_sum)
+        packed[key] = (p_sum, s_sum)
+        g, parts = key
+        self.table.put(PartitionKey(g, parts), _unpack(p_sum, k, sum(parts) - len(parts) + 3 - 2 * g))
+
+    def _repack(self, s: int) -> None:
+        """Widen the slots so that a value of weight s fits, repacking every entry from its vector."""
+        self.bits = k = max(2 * self.bits, s.bit_length())
+        packed, entries = self._packed, self.table.entries
+        for key, (_, weight) in packed.items():
+            packed[key] = (_pack(entries[key], k), weight)
 
     # -- assembled series ----------------------------------------------------
 
     def npoint_series(self, g: int, n: int, order: int) -> NPointSeries:
         out = NPointSeries(g, n, order)
         for key in index_tuples(n, order):
-            out.set_coefficient(key, self._w(PartitionKey.make(g, key)))
+            out.set_coefficient(key, self._vector(PartitionKey.make(g, key)))
         return out
 
     def one_point_all_genus(self, n: int) -> LaurentPolynomial:
@@ -245,7 +366,7 @@ class VirasoroEngine:
         (u,v)-degree n + 1 - 2g, so no two genera share a monomial."""
         if n < 1:
             raise ValueError("one-point index must be positive")
-        vectors = [self._w(PartitionKey.make(g, (n,))) for g in range((n - 1) // 2 + 1)]
+        vectors = [self._vector(PartitionKey.make(g, (n,))) for g in range((n - 1) // 2 + 1)]
         return LaurentPolynomial(("s", "u", "v"), {(n, len(w) - 1 - j, j): c for w in vectors for j, c in enumerate(w)})
 
     @staticmethod

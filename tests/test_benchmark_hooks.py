@@ -17,6 +17,7 @@ tracer.install()
 from dessin.virasoro import CorrelatorTable, VirasoroEngine
 engine = VirasoroEngine()
 engine.npoint_series(1, 2, 8)
+engine.npoint_series(1, 2, 8)  # the fill reads its packed memo, not the table: hits come from the second read
 counts = tracer.counts
 memo = ("virasoro.memo_hits", "virasoro.memo_misses", "virasoro.memo_entries")
 assert all(counts[name] > 0 for name in memo), {name: counts[name] for name in memo}
@@ -39,6 +40,6 @@ def test_the_benchmark_tracer_installs():
 
 
 def test_the_memo_counters_count_memo_traffic_and_not_cache_loads(tmp_path):
-    """The tracer counts memo traffic in CorrelatorTable.get and put; a _w that
-    read the table's dict directly would report zero without failing."""
+    """The tracer counts table reads in CorrelatorTable.get and new entries in put;
+    a lookup that read the table's dict directly would report zero without failing."""
     _run_traced(MEMO_COUNTERS, str(tmp_path / "table.json"))

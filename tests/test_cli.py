@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -27,14 +28,40 @@ def test_correlator_weighted_four(tmp_path, capsys):
     assert poly == S ** 4 * U * V * (U ** 3 + 6 * U ** 2 * V + 6 * U * V ** 2 + V ** 3)
 
 
-def test_internal_error_exits_three(tmp_path, capsys):
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     """An unexpected exception is reported in one line with exit 3, never 1."""
-    parts = ",".join(["1"] * 1200)
-    code, out, err = run_cli(capsys, "correlator", "--genus", "0", "--parts", parts, "--cache", str(tmp_path))
+    def broken(args):
+        raise RuntimeError("the correlator command broke")
+
+    monkeypatch.setattr(cli, "cmd_correlator", broken)
+    code, out, err = run_cli(capsys, "correlator", "--genus", "0", "--parts", "1", "--cache", str(tmp_path))
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: RecursionError")
+    assert err == "internal error: RuntimeError: the correlator command broke\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [1200, 2000])
+def test_deep_planar_correlators_need_no_warm_cache(tmp_path, capsys, n):
+    """W_0(1^n) = (n-1) W_0(1^(n-1)), so the value is (n-1)! s^n u v: Tutte's planar count at u = v = s = 1.
+    From a fresh cache the query is as deep as n; 2000 parts give a 19043-bit coefficient, past the
+    4300-digit limit on int-string conversion, which the output, the saved cache and its reload all pass."""
+    parts = ",".join(["1"] * n)
+    code, out, err = run_cli(capsys, "correlator", "--genus", "0", "--parts", parts, "--cache", str(tmp_path))
+    assert (code, err) == (0, "")
+    # the command lifted the conversion limit for this process, so the test can write 1999! too
+    expected = {"alphabet": ["s", "u", "v"], "terms": [{"e": [n, 1, 1], "c": f"{factorial(n - 1)}/1"}]}
+    assert json.loads(out)["poly"] == expected
+    saved = (tmp_path / cli.CACHE_FILE).read_bytes()
+
+    code, out, err = run_cli(capsys, "correlator", "--genus", "0", "--parts", parts, "--weighted",
+                             "--cache", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["poly"] == expected
+    assert (tmp_path / cli.CACHE_FILE).read_bytes() == saved  # read from the cache, nothing new to write
+    code, out, _ = run_cli(capsys, "correlator", "--genus", "0", "--parts", parts, "--format", "text",
+                           "--cache", str(tmp_path))
+    assert code == 0 and out == f"{factorial(n - 1)}*s^{n}*u*v\n"
 
 
 def test_verify_main_theorem_passes(tmp_path, capsys):

@@ -107,3 +107,31 @@ def test_polynomial_and_vector_are_inverse():
     series = NPointSeries(0, 2, 8)
     series.set_coefficient((2, 1), as_vector(3, 3, 2 * S ** 3 * U ** 2 * V + S ** 3 * U * V ** 2))
     assert series.vector((1, 2)) == (0, 2, 1, 0)
+
+
+# the 13 (genus, points, order) targets of the vir-fill benchmark workload
+VIR_FILL_TARGETS = ([(g, 1, 20) for g in range(4)] + [(g, 2, 18) for g in range(3)]
+                    + [(g, 3, 16) for g in range(3)] + [(g, 4, 16) for g in range(3)])
+
+
+def to_json_by_polynomials(series):
+    """What to_json wrote when each coefficient went through a LaurentPolynomial."""
+    return {
+        "genus": series.genus, "n": series.n, "order": series.order, "alphabet": ["s", "u", "v"],
+        "coefficients": [
+            {"indices": list(key), "poly": as_polynomial(sum(key), series.vector(key)).to_json(("s", "u", "v"))}
+            for key in series.keys()],
+    }
+
+
+def test_json_is_written_from_the_rows_as_the_polynomial_route_wrote_it(vir, eo):
+    outputs = [vir.npoint_series(g, n, order) for g, n, order in VIR_FILL_TARGETS]
+    assert sum(len(out.coefficients) for out in outputs) == 590
+    x_series = eo.to_x_series(1, 2, 10)
+    # no x-picture coefficient is negative, so one series is negated to reach the signed path
+    negated = NPointSeries(x_series.genus, x_series.n, x_series.order)
+    for key, vec in x_series.coefficients.items():
+        negated.set_coefficient(key, tuple(-c if j % 2 else c for j, c in enumerate(vec)))
+    assert any(c < 0 for vec in negated.coefficients.values() for c in vec)
+    for series in outputs + [x_series, negated]:
+        assert series.to_json() == to_json_by_polynomials(series)
