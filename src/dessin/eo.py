@@ -33,20 +33,21 @@ sum_p (p+1) sigma^p w^p z^(-p-2) at infinity, so each monomial of kappa F / z
 contracts against a memoized finite table of the same two residues; no series
 is truncated.
 
-A form is stored by slot orbits, {(e_a, h_1 <= .. <= h_n): c} over one power of
-two, the h_i halved slot exponents (an odd one is an EOInvariantError) and
-e_b = -2(2g-2+n) - e_a: evenness, symmetry and homogeneity hold by the shape of
-the key, and check_invariants checks that each key is an orbit representative.
-Integrands are keyed (e_a, h_z, *sorted spectators); the residue step keeps the
+kappa is linear in (alpha, beta) over (alpha-beta)^2, so a form is stored by slot orbits, {(j, h_1 <= ..
+<= h_n): c} over one power of two for alpha^(chi-j) beta^j / (alpha-beta)^(2 chi), chi = 2g-2+n: j is the
+power of beta in both charts (the dual kappa maps j to 1 - j), the h_i halved slot exponents (an odd one
+is an EOInvariantError) in [-(3g-2+n), 3g-3+n].  Evenness, symmetry and homogeneity hold by the shape of
+the key; check_invariants checks its ranges and order.  Only printing expands a form in (a, b).
+Integrands are keyed (j, h_z, *sorted spectators); the residue step keeps the
 outputs whose z1 exponent is the smallest of the orbit.  Orbits are expanded
 only where a slot is singled out (w(z, z, rest), the factorizations and the
 Bergman insertions, through by_first_slot) and for printing (sorted_blocks).
 
 The x-picture contracts the orbits one slot at a time against one integer table:
 the x^{-k-1} coefficient of z(x)^{2e} dz/dx, s^k times a homogeneous polynomial
-of degree 2k in (a, b), an int vector over a power of two.  Only nondecreasing
-index prefixes are contracted, each partial sum keyed by the orbit of the open
-slots.  A finished tuple becomes the graded (u, v) vector of the Virasoro side.
+of degree k in (alpha, beta), an int row over a power of two, packed into one integer.
+Only nondecreasing index prefixes are contracted, each partial sum keyed by the orbit of
+the open slots.  A finished tuple becomes the graded (u, v) vector of the Virasoro side.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, islice, product
 from math import comb, factorial, prod
-from operator import add, sub
+from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coeffs import format_coeff
@@ -74,7 +75,7 @@ S = LaurentPolynomial.variable("s")
 # alpha = (a - b)^2 and beta = (a + b)^2 as integer rows over (a^2, ab, b^2): every alpha and beta below
 GAPS = ((1, -2, 1), (1, 2, 1))
 ALPHA, BETA = (LaurentPolynomial(("a", "b"), {(2 - i, i): c for i, c in enumerate(row)}) for row in GAPS)
-KAPPA_SHIFT = 5  # 2 (alpha - beta)^2 = 2^KAPPA_SHIFT a^2 b^2
+KAPPA_SHIFT = 1  # the kernel numerator over 2 (alpha - beta)^2
 
 
 class EOInvariantError(AssertionError):
@@ -126,8 +127,8 @@ def slot_names(n: int) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class EOForm:
-    """w_{g,n} (W_{g,n} = w_{g,n} dz_1 ... dz_n) by slot orbits: {(e_a, h_1 <= .. <= h_n): c} gives
-    a^e_a b^(-2(2g-2+n) - e_a) times each distinct ordering of z_1^2h_1 .. z_n^2h_n the coefficient c / 2^shift."""
+    """w_{g,n} (W_{g,n} = w_{g,n} dz_1 ... dz_n) by slot orbits: {(j, h_1 <= .. <= h_n): c} gives alpha^(chi-j)
+    beta^j / (alpha-beta)^(2 chi), chi = 2g-2+n, times each distinct ordering of z_1^2h_1 .. z_n^2h_n c / 2^shift."""
 
     g: int
     n: int
@@ -136,14 +137,22 @@ class EOForm:
 
     @cached_property
     def poly(self) -> LaurentPolynomial:
-        degree = -2 * (2 * self.g - 2 + self.n)
+        degree, (terms, shift) = -2 * (2 * self.g - 2 + self.n), self.ab_terms()
         return LaurentPolynomial(("a", "b", *slot_names(self.n)), {
-            (ea, degree - ea, *exps): Fraction(c, 1 << self.shift)
-            for (ea, *hs), c in self.terms.items() for exps in _arrangements(tuple(2 * h for h in hs))})
+            (ea, degree - ea, *exps): Fraction(c, 1 << shift)
+            for (ea, *hs), c in terms.items() for exps in _arrangements(tuple(2 * h for h in hs))})
+
+    def ab_terms(self) -> Tuple[Dict[tuple, int], int]:
+        """({(e_a, h_1 <= .. <= h_n): c}, k): the orbits over (a, b), c / 2^k, e_b = -2 chi - e_a."""
+        chi = 2 * self.g - 2 + self.n
+        rows: Dict[tuple, List[int]] = defaultdict(lambda: [0] * (chi + 1))
+        for (j, *hs), c in self.terms.items():
+            rows[tuple(hs)][j] += c
+        return {(-i, *hs): c for hs, row in rows.items() for i, c in enumerate(_to_ab(row)) if c}, self.shift + 4 * chi
 
     @cached_property
     def by_first_slot(self) -> Dict[tuple, int]:
-        """z1 singled out: {(e_a, h_1, *sorted other slots): c} for each distinct h_1 of each orbit."""
+        """z1 singled out: {(j, h_1, *sorted other slots): c} for each distinct h_1 of each orbit."""
         return {(key[0], h) + rest: c for key, c in self.terms.items() for h, rest in _picks(key[1:])}
 
     def evaluated(self, args: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
@@ -153,18 +162,22 @@ class EOForm:
         return self.poly.substitute(dict(zip(slot_names(self.n), args)))
 
     def check_invariants(self) -> None:
-        """Each key is an orbit representative, e_a and n nondecreasing slot exponents; the rest holds by shape."""
+        """Each key is an orbit representative, j in [0, chi] and n nondecreasing slot exponents in
+        [-(3g-2+n), 3g-3+n], the Eynard-Orantin pole bound; the rest holds by shape."""
+        chi, top = 2 * self.g - 2 + self.n, 3 * self.g - 3 + self.n
         for key in self.terms:
-            if len(key) != self.n + 1 or list(key[1:]) != sorted(key[1:]):
-                raise EOInvariantError(f"w_{{{self.g},{self.n}}} key {key} is not an orbit representative")
+            if len(key) != self.n + 1 or list(key[1:]) != sorted(key[1:]) or not (
+                    0 <= key[0] <= chi and -top - 1 <= key[1] and key[-1] <= top):
+                raise EOInvariantError(f"w_{{{self.g},{self.n}}} key {key} is not an orbit representative "
+                                       f"in [0, {chi}] x [{-top - 1}, {top}]^n")
 
     def sorted_blocks(self) -> Iterator[List[tuple]]:
         """Each monomial as (e_a, e_b, e_1, .., e_n, "p/q"), in LaurentPolynomial.to_json's order:
         one sorted block per leading pair (e_a, e_1), the blocks in order."""
-        degree, blocks = -2 * (2 * self.g - 2 + self.n), defaultdict(list)
-        for key, c in self.terms.items():
+        degree, blocks, (terms, shift) = -2 * (2 * self.g - 2 + self.n), defaultdict(list), self.ab_terms()
+        for key, c in terms.items():
             for h, rest in _picks(key[1:]):
-                blocks[key[0], h].append((rest, format_coeff(Fraction(c, 1 << self.shift))))
+                blocks[key[0], h].append((rest, format_coeff(Fraction(c, 1 << shift))))
         for ea, h in sorted(blocks):
             head = (ea, degree - ea, 2 * h)
             block = [head + exps + (text,) for rest, text in blocks.pop((ea, h))
@@ -202,24 +215,39 @@ def _arrangements(hs: tuple) -> Tuple[tuple, ...]:
     return tuple((h,) + tail for h, rest in _picks(hs) for tail in _arrangements(rest)) if hs else ((),)
 
 
-def _over_gap(mixes: Dict[tuple, Tuple[int, int]], dual: bool = False) -> Dict[tuple, int]:
-    """{(e_a, *hs): c}: the integer coefficients of the sum over {hs: (p, q)} of (p alpha + q beta)
-    z_1^2h_1 .. z_n^2h_n / (a^2 b^2), e_b = -2 - e_a; the dual chart swaps alpha and beta."""
-    alpha, beta = GAPS[::-1] if dual else GAPS
-    return {(-i, *hs): c for hs, (p, q) in mixes.items()
-            for i, c in enumerate(p * x + q * y for x, y in zip(alpha, beta)) if c}
+@lru_cache(maxsize=None)
+def _ab_table(d: int) -> Tuple[Vector, ...]:
+    """Row j: the coefficients of a^(2d-i) b^i in alpha^(d-j) beta^j = (a-b)^(2d-2j) (a+b)^2j."""
+    return tuple(convolve([(-1) ** i * comb(2 * d - 2 * j, i) for i in range(2 * d - 2 * j + 1)],
+                          [comb(2 * j, i) for i in range(2 * j + 1)]) for j in range(d + 1))
 
 
-# the displayed base differentials, integer tables over 2^4 and 2^7:
-#   w_{0,3} = (beta z1^-2 z2^-2 z3^-2 - alpha) / (16 a^2 b^2)
-#   w_{1,1} = (beta z1^-4 - (2 beta + alpha) z1^-2 + (2 alpha + beta) - alpha z1^2) / (128 a^2 b^2)
-W03_DISPLAY = EOForm(0, 3, _over_gap({(-1, -1, -1): (0, 1), (0, 0, 0): (-1, 0)}), 4).poly
-W11_DISPLAY = EOForm(1, 1, _over_gap({(-2,): (0, 1), (-1,): (-1, -2), (0,): (2, 1), (1,): (-1, 0)}), 7).poly
+def _to_ab(row: Sequence[int]) -> List[int]:
+    """A row over alpha^(d-j) beta^j, d = len(row) - 1, as the row over a^(2d-i) b^i."""
+    return list(map(sum, zip(*([c * x for x in ab] for c, ab in zip(row, _ab_table(len(row) - 1))))))
+
+
+def _unpack(value: int, bits: int, length: int) -> List[int]:
+    """The row sum_i row[i] 2^(bits i) with entries in [-2^(bits-1), 2^(bits-1)); anything left over is a fault."""
+    out, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
+    for _ in range(length):
+        out.append(((value & mask) ^ half) - half)  # the low digit, read in [-half, half)
+        value = (value - out[-1]) >> bits
+    if value:
+        raise EOInvariantError(f"a packed x-picture row overflows its {length} digits of {bits} bits")
+    return out
+
+
+# the displayed base differentials over 2^0 and 2^3, with j the power of beta:
+#   w_{0,3} = (beta z1^-2 z2^-2 z3^-2 - alpha) / (alpha - beta)^2
+#   w_{1,1} = (beta z1^-4 - (2 beta + alpha) z1^-2 + (2 alpha + beta) - alpha z1^2) / (8 (alpha - beta)^2)
+W03_DISPLAY = EOForm(0, 3, {(1, -1, -1, -1): 1, (0, 0, 0, 0): -1}, 0).poly
+W11_DISPLAY = EOForm(1, 1, {(1, -2): 1, (1, -1): -2, (0, -1): -1, (0, 0): 2, (1, 0): 1, (0, 1): -1}, 3).poly
 
 
 # -- dyadic forms -------------------------------------------------------------
 
-# ({key: c}, k): coefficients c / 2^k; a key is e_a, then halved slot exponents
+# ({key: c}, k): coefficients c / 2^k; a key is j, then halved slot exponents
 Dyadic = Tuple[Dict[tuple, int], int]
 
 
@@ -288,20 +316,21 @@ BERGMAN_DOUBLE = ((1, -1), (-1, 1))  # the two orderings of w_{0,3}'s pair of Be
 
 @lru_cache(maxsize=None)
 def _kappa_table(dual: bool) -> Tuple[Tuple[int, int, int], ...]:
-    """2^KAPPA_SHIFT kappa(z) = (alpha z^2 - beta)(z^2 - 1)^2 / (a^2 b^2) as integer (e_a, e_z, c) triples,
-    e_b = -2 - e_a: the numerator is -beta + (alpha + 2 beta) z^2 - (2 alpha + beta) z^4 + alpha z^6."""
-    mixes = {(0,): (0, -1), (1,): (1, 2), (2,): (-2, -1), (3,): (1, 0)}
-    return tuple((ea, 2 * h, c) for (ea, h), c in _over_gap(mixes, dual).items())
+    """2^KAPPA_SHIFT kappa(z) = (alpha z^2 - beta)(z^2 - 1)^2 / (alpha - beta)^2 as integer (j, e_z, c) triples
+    c alpha^(1-j) beta^j z^e_z: the numerator is -beta + (alpha + 2 beta) z^2 - (2 alpha + beta) z^4 + alpha z^6.
+    The dual chart trades alpha and beta, so j stays the power of the global beta."""
+    table = ((1, 0, -1), (0, 2, 1), (1, 2, 2), (0, 4, -2), (1, 4, -1), (0, 6, 1))
+    return tuple((1 - j, ez, c) for j, ez, c in table) if dual else table
 
 
 def _products(x: EOForm, y: EOForm) -> Dyadic:
-    """x(z, A) y(z, B) keyed (e_a, h_z, *sorted(A + B)), counting each way the slots split between x and y."""
+    """x(z, A) y(z, B) keyed (j, h_z, *sorted(A + B)), counting each way the slots split between x and y."""
     out: Dict[tuple, int] = defaultdict(int)
     ys = [(ky[0], ky[1], ky[2:], d) for ky, d in y.by_first_slot.items()]
     for kx, c in x.by_first_slot.items():
-        ea, h, left = kx[0], kx[1], kx[2:]
-        for ey, hy, right, d in ys:
-            out[(ea + ey, h + hy) + tuple(sorted(left + right))] += c * d * _shuffles(left, right)
+        j, h, left = kx[0], kx[1], kx[2:]
+        for jy, hy, right, d in ys:
+            out[(j + jy, h + hy) + tuple(sorted(left + right))] += c * d * _shuffles(left, right)
     return out, x.shift + y.shift
 
 
@@ -330,8 +359,10 @@ class EOEngine:
             {2 * k: LaurentPolynomial.monomial(1, {out_name: -2 * k - 2}) for k in range(order // 2 + 1)},
             order,
         )
-        kappa = LaurentPolynomial(("a", "b", "z"), {
-            (ea, -2 - ea, ez): Fraction(c, 1 << KAPPA_SHIFT) for ea, ez, c in self._kappa})
+        # kappa's (j, e_z, c) table has the key shape of a one-slot form with chi = 1: expand it like one
+        terms, shift = EOForm(1, 1, {(j, ez // 2): c for j, ez, c in self._kappa}, KAPPA_SHIFT).ab_terms()
+        kappa = LaurentPolynomial(("a", "b", "z"), {(ea, -2 - ea, 2 * h): Fraction(c, 1 << shift)
+                                                    for (ea, h), c in terms.items()})
         # kappa enters whole; the product keeps geom's window
         poly = TruncatedSeries.from_polynomial(kappa, "z", max(order, kappa.degree("z")))
         return (poly * geom).shift(-1)
@@ -369,7 +400,7 @@ class EOEngine:
             return self._forms[key]
         slot_names(n)  # rejects n > 9 before any recursion
 
-        # integrands are keyed (e_a, h_z, *spectators), the other slots a sorted multiset
+        # integrands are keyed (j, h_z, *spectators), the other slots a sorted multiset
         parts: List[Dyadic] = []
 
         # recursion bracket, first kind: w_{g-1, n+1}(z, -z, rest) = w(z, z, rest)
@@ -410,17 +441,17 @@ class EOEngine:
     def _residues(self, integrand: Dyadic, signs) -> Dyadic:
         """(Res_{z->0} + Res_{z->infinity}) of K-hat(z1, z) F dz times sum over sigma in signs of
         prod_r 1/(z - sigma_r w_r)^2, only where z1 has the orbit's smallest exponent.  F is keyed
-        (e_a, h_z, *spectators); z1 takes z's place, a single w joins the spectators, and the
+        (j, h_z, *spectators); z1 takes z's place, a single w joins the spectators, and the
         two w of w_{0,3} are its other slots."""
         terms, shift = integrand
-        kf: Dict[tuple, int] = defaultdict(int)  # kappa(z) F / z, keyed (e_a, e_z, *spectators)
+        kf: Dict[tuple, int] = defaultdict(int)  # kappa(z) F / z, keyed (j, e_z, *spectators)
         for key, c in terms.items():
-            ea, ez, spect = key[0], 2 * key[1] - 1, key[2:]
-            for ka, kz, k in self._kappa:
-                kf[(ea + ka, ez + kz) + spect] += c * k
+            j, ez, spect = key[0], 2 * key[1] - 1, key[2:]
+            for kj, kz, k in self._kappa:
+                kf[(j + kj, ez + kz) + spect] += c * k
         out: Dict[tuple, int] = defaultdict(int)
         for key, c in kf.items():
-            ea, spect = key[0], key[2:]
+            j, spect = key[0], key[2:]
             for h1, ws, t in _halved_table(key[1], signs):
                 if len(ws) == 1:  # w at each place among its equals gives the same sorted key
                     lo, hi = bisect_left(spect, ws[0]), bisect_right(spect, ws[0])
@@ -428,7 +459,7 @@ class EOEngine:
                 else:  # no w, or w_{0,3}'s two in the order of a sorted key
                     slots, ways = spect + ws, int(ws[:1] <= ws[1:])
                 if ways and (not slots or h1 <= slots[0]):
-                    out[(ea, h1) + slots] += c * t * ways
+                    out[(j, h1) + slots] += c * t * ways
         return out, shift + KAPPA_SHIFT
 
     # -- x-picture conversion --------------------------------------------------
@@ -444,66 +475,65 @@ class EOEngine:
         return self.z_square_series(order).sqrt()
 
     def _slot_rows(self, e: int) -> Iterator[Vector]:
-        """For k = 1, 2, ..: 4^(k-1) / s^k times the x^{-k-1} coefficient of z^{2e} dz/dx,
-        as the int vector of its coefficients of a^i b^(2k-i).
+        """For k = 1, 2, ..: 2 4^(k-1) / s^k times the x^{-k-1} coefficient of z^{2e} dz/dx,
+        as the int vector of its coefficients of alpha^(k-i) beta^i.
 
         In t = 1/x, z^{2e} dz/dx = ((beta-alpha)/2) s t^2 f, f = (1 - s beta t)^(e-1/2) (1 - s alpha t)^(-e-3/2).
         Log-differentiating f shows that h_k = 2^k k! f_k / s^k obeys h_{k+1} = (2k sigma1 - 2c) h_k
         - 4k(k+1) sigma2 h_{k-1}, with sigma1 = alpha+beta, sigma2 = alpha beta, c = (e-1/2) beta - (e+3/2) alpha.
         A binomial factor of f has at most 2j twos under its t^j coefficient, so 4^k f_k = 2^k h_k / k! is integral.
         """
-        alpha, beta = self._gaps
-        sigma1, sigma2 = tuple(map(add, alpha, beta)), convolve(alpha, beta)
-        c2 = [(2 * e - 1) * y - (2 * e + 3) * x for x, y in zip(alpha, beta)]
-        half_gap = [(y - x) // 2 for x, y in zip(alpha, beta)]
         h_prev, h = (), (1,)
         for k in count():
-            yield convolve(half_gap, [(c << k) // factorial(k) for c in h])
-            lower = convolve(sigma2, h_prev) or [0] * (len(h) + 2)  # h_{-1} = 0
-            upper = convolve([2 * k * x - y for x, y in zip(sigma1, c2)], h)
+            row = convolve((-1, 1), [(c << k) // factorial(k) for c in h])
+            yield row[::-1] if self.dual else row  # the dual chart's alpha is the global beta
+            lower = convolve((0, 1, 0), h_prev) or [0] * (len(h) + 1)  # sigma2 = alpha beta; h_{-1} = 0
+            upper = convolve((2 * k + 2 * e + 3, 2 * k - 2 * e + 1), h)  # 2k sigma1 - 2c over (alpha, beta)
             h_prev, h = h, tuple(x - 4 * k * (k + 1) * y for x, y in zip(upper, lower))
 
     def to_x_series(self, g: int, n: int, order: int) -> NPointSeries:
         """w_{g,n} contracted one slot at a time over nondecreasing index prefixes.
 
-        A partial sum is keyed by the orbit of the slots not yet contracted;
-        the next slot takes each distinct exponent of that orbit in turn."""
+        A partial sum is keyed by the orbit of the slots not yet contracted; the next slot takes each
+        distinct exponent of that orbit in turn.  Partial sums and slot rows (over alpha^(D-j) beta^j) are
+        each one integer of K-bit balanced digits, so a contraction is a sum of integer products.  Each
+        coefficient is at most sum|c| n! L^n, L the largest l1 norm of a row: K is its bit length plus 2."""
         out = NPointSeries(g, n, order)
         form = self.omega(g, n)
-        terms, shift = form.terms, form.shift
-        lo, hi = min(exps[0] for exps in terms), max(exps[0] for exps in terms)
-        # partial sums are int vectors over the exponent of a; homogeneity fixes that of b
-        state: Dict[tuple, list] = defaultdict(lambda: [0] * (hi - lo + 1))
-        for exps, c in terms.items():
-            state[exps[1:]][exps[0] - lo] += c
-        slots = {}  # e -> the slot-table row of z^{2e} dz/dx, through the largest index
-        for e in {e for key in state for e in key}:
+        chi, count_rows = 2 * g - 2 + n, order - 2 * n + 1  # the largest index is order - 2(n - 1) - 1
+        table = {}  # e -> the slot-table rows of z^{2e} dz/dx through the largest index
+        for e in {h for key in form.terms for h in key[1:]}:
             rows, more = self._slot_table.setdefault(e, ([], self._slot_rows(e)))
-            rows.extend(islice(more, max(order - 2 * n + 1 - len(rows), 0)))
-            slots[e] = rows
+            rows.extend(islice(more, max(count_rows - len(rows), 0)))
+            table[e] = rows[:count_rows]
+        top = max(sum(map(abs, row)) for rows in table.values() for row in rows)
+        bits = (sum(map(abs, form.terms.values())) * factorial(n) * top ** n).bit_length() + 2
+        slots = {e: [sum(c << (bits * i) for i, c in enumerate(row)) for row in rows] for e, rows in table.items()}
+        state: Dict[tuple, int] = defaultdict(int)
+        for (j, *hs), c in form.terms.items():
+            state[tuple(hs)] += c << (bits * j)
 
         def contract(state, prefix, budget):
             if len(prefix) == n:
-                # s^total a^ea b^eb / 2^twos, with ea + eb = 2d, must be an integer times u^(ea/2) v^(d-ea/2)
+                # s^total a^(2 total - i) b^(i - 2 chi) / 2^twos must be an integer times u^(total - i/2) v^(i/2 - chi)
                 total = sum(prefix)
-                twos, d = shift + 2 * (total - n), out.degree(prefix)
+                twos, d = form.shift + 4 * chi + 2 * total - n, out.degree(prefix)
                 vec = [0] * max(d + 1, 0)
-                for ea, c in enumerate(state[()], lo):
+                for i, c in enumerate(_to_ab(_unpack(state[()], bits, chi + total + 1))):
                     if c:
-                        if ea % 2 or c % (1 << twos) or not 0 <= ea // 2 <= d:
+                        if i % 2 or c % (1 << twos) or not 0 <= i // 2 - chi <= d:
                             raise EOInvariantError(
                                 f"x-picture coefficient at {prefix} is not an integer polynomial in u, v of degree {d}")
-                        vec[d - ea // 2] = c >> twos
+                        vec[i // 2 - chi] = c >> twos
                 out.set_coefficient(prefix, tuple(vec))
                 return
             # grouped by the later slots, so each sum is reduced as soon as it is built
             by_rest: Dict[tuple, list] = {}
-            for key, vec in state.items():
+            for key, value in state.items():
                 for e, rest in _picks(key):
-                    by_rest.setdefault(rest, []).append((slots[e], vec))
+                    by_rest.setdefault(rest, []).append((slots[e], value))
             for k in range(prefix[-1] if prefix else 1, budget // (n - len(prefix))):
-                nxt = {rest: tuple(map(sum, zip(*(convolve(row[k - 1], vec) for row, vec in parts))))
-                       for rest, parts in by_rest.items()}
+                nxt = {rest: sum([rows[k - 1] * value for rows, value in parts]) for rest, parts in by_rest.items()}
                 contract(nxt, prefix + (k,), budget - k - 1)
 
         contract(state, (), order)

@@ -2,7 +2,9 @@ import hashlib
 import json
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice, permutations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from dessin.eo import (
     spectral_curve,
 )
 from dessin.laurent import LaurentPolynomial
+from dessin.npoint import index_tuples
 from dessin.series import TruncatedSeries
 
 A = LaurentPolynomial.variable("a")
@@ -39,6 +42,8 @@ STABLE_RANGE = [(g, n) for g in range(3) for n in range(1, 7) if 0 < 2 * g - 2 +
 FORM_DIGESTS = Path(__file__).parent / "data" / "eo_forms.json"
 # the forms that file pins, under each chart
 PINNED_CASES = [(g, n) for g in range(4) for n in range(1, 8) if 0 < 2 * g - 2 + n <= 5]
+# and three deeper forms, 2g-2+n = 6
+DEEP_CASES = PINNED_CASES + [(3, 3), (4, 2), (5, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -90,19 +95,28 @@ def test_displays_are_the_displayed_formulas():
         beta * z1 ** -4 - (2 * beta + alpha) * z1 ** -2 + (2 * alpha + beta) - alpha * z1 ** 2)
 
 
+def _over_gap(table, chi, names):
+    """The sum over {(j, *exps): c} of c alpha^(chi-j) beta^j / (alpha - beta)^(2 chi) times the monomial
+    of exps in names, with the global alpha = (a - b)^2 and beta = (a + b)^2."""
+    alpha, beta = (A - B) ** 2, (A + B) ** 2
+    return sum((LaurentPolynomial.monomial(c, dict(zip(names, exps))) * alpha ** (chi - j) * beta ** j
+                for (j, *exps), c in table.items()), LaurentPolynomial.zero()) * gap2_inverse(1) ** chi
+
+
 @pytest.mark.parametrize("dual", [False, True])
 def test_kappa_table_is_the_kernel_numerator_over_the_gap(dual):
     """The kappa table is 2^KAPPA_SHIFT (alpha z^2 - beta)(z^2 - 1)^2 / (2 (alpha - beta)^2), one
-    integer triple per monomial; the dual chart swaps alpha and beta."""
+    integer triple (j, e_z, c) per monomial c alpha^(1-j) beta^j z^e_z of the numerator; the dual chart
+    swaps alpha and beta, so j stays the power of the global beta."""
     alpha, beta = (A - B) ** 2, (A + B) ** 2
     if dual:
         alpha, beta = beta, alpha
     z = LaurentPolynomial.variable("z")
     kappa = (alpha * z ** 2 - beta) * (z ** 2 - 1) ** 2 * HALF_INV_GAP2 * (1 << KAPPA_SHIFT)
     table = _kappa_table(dual)
-    assert len({(ea, ez) for ea, ez, _ in table}) == len(table) == len(kappa)
-    assert all(type(c) is int for _, _, c in table)
-    assert LaurentPolynomial(("a", "b", "z"), {(ea, -2 - ea, ez): c for ea, ez, c in table}) == kappa
+    assert len({(j, ez) for j, ez, _ in table}) == len(table) == 6
+    assert all(type(c) is int and j in (0, 1) for j, _, c in table)
+    assert _over_gap({(j, ez): c for j, ez, c in table}, 1, "z") == kappa
 
 
 def test_unstable_forms_rejected(monkeypatch):
@@ -174,7 +188,7 @@ def test_forms_even_symmetric_s_free(eo, g, n):
 
 def test_invariant_violation_is_hard_error():
     """What the orbit key cannot express: an odd slot exponent never becomes a
-    key entry, and each key is its orbit's sorted representative."""
+    key entry, and each key (j, h_1, .., h_n) is its orbit's sorted representative."""
     assert _halved_table(-5, BERGMAN_PAIR) == tuple(
         (e0 // 2, (w // 2,), t) for e0, (w,), t in _residue_table(-5, BERGMAN_PAIR))
     # two Bergman factors with odd powers of w, (2 z w1^-3)(-2 z w2^-3) at z = 0, are no form's terms
@@ -182,18 +196,28 @@ def test_invariant_violation_is_hard_error():
     with pytest.raises(EOInvariantError, match="odd slot exponent"):
         _halved_table(-3, BERGMAN_DOUBLE)
     with pytest.raises(EOInvariantError, match="not an orbit representative"):
-        EOForm(0, 3, {(-2, 1, 0, 0): 1}, 0).check_invariants()  # keyed as z1^2 alone: not sorted
+        EOForm(0, 3, {(0, 0, -1, -1): 1}, 0).check_invariants()  # keyed as z1^0 (z2 z3)^-2: not sorted
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0, 0), (2, 0, 0, 0), (0, -2, 0, 0), (1, -1, -1, 1)])
+def test_key_outside_its_ranges_is_hard_error(key):
+    """w_{0,3} has chi = 1, so j lies in [0, 1], and its halved slot exponents lie in [-1, 0]:
+    each key above is sorted but leaves one of the two ranges."""
+    EOForm(0, 3, {(0, 0, 0, 0): -1, (1, -1, -1, -1): 1}, 0).check_invariants()
+    with pytest.raises(EOInvariantError, match=r"in \[0, 1\] x \[-1, 0\]\^n"):
+        EOForm(0, 3, {(0, 0, 0, 0): -1, key: 1}, 0).check_invariants()
 
 
 def test_inhomogeneous_form_is_hard_error():
-    """A key holds no exponent of b, so every monomial of a form has (a, b)-degree
-    -2(2g-2+n); a key that carries its own e_b, as an inhomogeneous form would
-    need, is not an orbit representative."""
-    form = EOForm(0, 3, {(-2, 1, 1, 1): 1, (0, 1, 1, 1): 1}, 0)
+    """A key holds only the power j of beta, that of alpha being chi - j, so every monomial of a form
+    is homogeneous of degree chi = 2g-2+n in (alpha, beta) over (alpha - beta)^(2 chi), and of (a, b)-degree
+    -2 chi; a key that carries its own power of alpha, as an inhomogeneous form would need, is not an
+    orbit representative."""
+    form = EOForm(0, 3, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}, 0)
     form.check_invariants()
     assert {exps[0] + exps[1] for exps, _ in form.poly.terms()} == {-2}
     with pytest.raises(EOInvariantError, match="not an orbit representative"):
-        EOForm(0, 3, {(-2, 0, 1, 1, 1): 1, (0, -4, 1, 1, 1): 1}, 0).check_invariants()
+        EOForm(0, 3, {(1, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): 1}, 0).check_invariants()
 
 
 def test_kappa_is_built_once_per_chart():
@@ -340,6 +364,15 @@ def test_chart_consistency(eo, g, n):
     assert w == scale * flipped
 
 
+@pytest.mark.parametrize("g,n", DEEP_CASES)
+def test_chart_map_on_the_keys(eo, eo_dual, g, n):
+    """The dual engine's form is the primary's under z_i -> 1/z_i, key for key: (j, h) -> (j, sorted(-h_i - 1))
+    with sign (-1)^n, over the same power of two; j is the power of the global beta in both charts."""
+    form, dual = eo.omega(g, n), eo_dual.omega(g, n)
+    assert dual.shift == form.shift
+    assert dual.terms == {(j, *sorted(-h - 1 for h in hs)): (-1) ** n * c for (j, *hs), c in form.terms.items()}
+
+
 def test_z_of_x_leading_terms(eo):
     zx = eo.z_of_x_series(5)
     assert zx.coefficient(0) == LaurentPolynomial.constant(1)
@@ -391,6 +424,16 @@ def test_main_theorem_deep_orders(eo, eo_dual, vir, g, n, order, dual):
     assert report.passed, report.first_discrepancy
 
 
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("g,n", [(4, 2), (5, 1)])
+def test_main_theorem_at_genus_four_and_five(eo, eo_dual, vir, g, n, dual):
+    """Order 12 reaches nonzero coefficients: |A| = 10 for (4,2) and a = 11 for (5,1)."""
+    report = (eo_dual if dual else eo).verify_main_theorem(g, n, 12, vir)
+    assert report.passed, report.first_discrepancy
+    series = vir.npoint_series(g, n, 12)
+    assert {sum(key) for key in index_tuples(n, 12) if not series.coefficient(key).is_zero()} == {12 - n}
+
+
 @pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 1)])
 def test_main_theorem_dual_chart(eo_dual, vir, g, n):
     """The dual engine's forms reach the same x-picture series."""
@@ -398,9 +441,16 @@ def test_main_theorem_dual_chart(eo_dual, vir, g, n):
     assert report.passed, report.first_discrepancy
 
 
+@lru_cache(maxsize=None)
+def _alpha_beta(p, q):
+    """alpha^p beta^q over (a, b)."""
+    return (A - B) ** (2 * p) * (A + B) ** (2 * q)
+
+
 @pytest.mark.parametrize("dual", [False, True])
 def test_slot_series_closed_form_matches_square_root_route(dual):
-    """The integer slot table holds z^{2e} dz/dx = z_square_series^e * (-t^2 d/dt z_of_x_series)."""
+    """The integer slot table holds z^{2e} dz/dx = z_square_series^e * (-t^2 d/dt z_of_x_series),
+    row k - 1 over alpha^(k-i) beta^i with the global alpha and beta in both charts."""
     engine = EOEngine(dual=dual)
     order = 12
     z2 = engine.z_square_series(order)
@@ -411,10 +461,10 @@ def test_slot_series_closed_form_matches_square_root_route(dual):
         for _ in range(abs(e)):
             expected = expected * base
         assert expected.order == order + 2
-        # row k - 1 is 4^(k-1) / s^k times the t^(k+1) coefficient, entry i at a^i b^(2k-i)
+        # row k - 1 is 2 4^(k-1) / s^k times the t^(k+1) coefficient, entry i at alpha^(k-i) beta^i
         table = [LaurentPolynomial.zero()] * 2 + [
-            S ** k * LaurentPolynomial(("a", "b"), {(i, 2 * k - i): Fraction(c, 4 ** (k - 1))
-                                                    for i, c in enumerate(row)})
+            S ** k * sum((Fraction(c, 2 * 4 ** (k - 1)) * _alpha_beta(k - i, i) for i, c in enumerate(row)),
+                         LaurentPolynomial.zero())
             for k, row in enumerate(islice(engine._slot_rows(e), order + 1), 1)]
         assert [expected.coefficient(j) for j in range(order + 3)] == table, e
 
@@ -456,33 +506,43 @@ def test_residue_contraction_matches_series_residues(dual):
                 lambda p, sign, w: (p + 2, (p + 1) * LaurentPolynomial.monomial(sign ** p, {w: p})))
             expected = at_zero.coefficient(-1) + at_inf.coefficient(-1)
 
-            # kappa(z) z^(j-1) contracted against the closed-form table; kappa has (a, b)-degree -2
+            # kappa(z) z^(j-1) contracted against the closed-form table; kappa's triples are (kj, e_z, c)
             terms = defaultdict(int)
-            for ka, kz, k in engine._kappa:
+            for kj, kz, k in engine._kappa:
                 for e0, ws, t in _residue_table(j + kz - 1, signs):
-                    terms[(ka, -2 - ka, e0) + ws] += k * t
-            alphabet = ("a", "b", "z0", "w1", "w2")[: 3 + m]
-            got = LaurentPolynomial(alphabet, {e: Fraction(c, 1 << KAPPA_SHIFT) for e, c in terms.items()})
+                    terms[(kj, e0) + ws] += Fraction(k * t, 1 << KAPPA_SHIFT)
+            got = _over_gap(terms, 1, ("z0", "w1", "w2")[: 1 + m])
             assert got == expected, (signs, j)
 
 
 def test_x_picture_edge_rejects_odd_powers_and_non_integers():
     """The contraction ends in a polynomial in u = a^2, v = b^2 with integer
-    coefficients, homogeneous of the tuple's degree; a doctored w_{0,3} that
-    breaks any of these is a hard error."""
+    coefficients, homogeneous of the tuple's degree; a doctored form that
+    breaks any of these is a hard error.  In j keys no w_{0,3} reaches the degree
+    check: at every tuple its three slot rows bring (beta - alpha)^3, which leaves
+    a polynomial in (a, b) of the tuple's degree, so the third case doctors w_{3,1}."""
     U, V = LaurentPolynomial.variable("u"), LaurentPolynomial.variable("v")
     engine = EOEngine()
     form = engine.omega(0, 3)
     terms, shift = form.terms, form.shift
     assert engine.to_x_series(0, 3, 6).coefficient((1, 1, 1)) == 2 * S ** 3 * U * V
+    assert EOEngine().to_x_series(3, 1, 10).coefficient((1,)) == LaurentPolynomial.zero()
+    # alpha (beta - alpha)^3 / (alpha - beta)^2 = 4 a b (a - b)^2 at (1, 1, 1): integral, odd powers
     odd = dict(terms)
-    odd[(0, 0, 0, 0)] = odd.get((0, 0, 0, 0), 0) + (1 << shift)  # (2ab)^3 b^-2: integral, odd powers
-    # times u^4 / v^4: even, integral, of the right total degree, but with a negative power of v
-    shifted = {(exps[0] + 8,) + exps[1:]: c for exps, c in terms.items()}
-    for doctored in ((odd, shift), (terms, shift + 2), (shifted, shift)):  # s^3 u v / 2 is not integral
-        engine._forms[(0, 3)] = EOForm(0, 3, *doctored)
-        with pytest.raises(EOInvariantError):
-            engine.to_x_series(0, 3, 6)
+    odd[(0, 0, 0, 0)] += 1 << (shift + 8)
+    # at k = 1 every slot row of w_{3,1} is (beta - alpha), so adding (alpha - beta)^5 c adds
+    # -c / (alpha - beta)^4 = -c / (256 u^2 v^2) at (1,): even and integral, but (1,) has degree -4
+    deep = EOEngine().omega(3, 1)
+    low = dict(deep.terms)
+    for j in range(6):
+        low[(j, 0)] = low.get((j, 0), 0) + ((-1) ** j * comb(5, j) << (deep.shift + 40))
+    for g, n, doctored, where in (
+            (0, 3, (odd, shift), r"\(1, 1, 1\)"),
+            (0, 3, (terms, shift + 2), r"\(1, 1, 1\)"),  # s^3 u v / 2 is not integral
+            (3, 1, (low, deep.shift), r"\(1,\) .* degree -4")):
+        engine._forms[(g, n)] = EOForm(g, n, *doctored)
+        with pytest.raises(EOInvariantError, match=where):
+            engine.to_x_series(g, n, 6 if n == 3 else 10)
 
 
 def test_to_x_series_rejects_orders_without_tuples(eo):
